@@ -7,9 +7,10 @@ batched datapath; the reference engine dispatches the same emission
 stream per line.  Three quantities matter:
 
 * the *wall-clock speedup* of full ``measure_kernel`` sweeps (daxpy —
-  bandwidth-bound streaming — and dgemm — the cache-blocked worst case
-  for per-line interpretation) with the fast engine vs the reference
-  engine,
+  bandwidth-bound streaming — dgemm — the cache-blocked worst case
+  for per-line interpretation — and dgemv-row across the L3 capacity
+  under a FIFO L3, the replacement-policy ablation's datapath) with the
+  fast engine vs the reference engine,
 * the *plan-cache hit rate* over a sweep (the compile tier only pays
   off if the A/B windows, reps, and protocol reruns actually reuse
   plans),
@@ -28,9 +29,11 @@ import argparse
 import json
 import sys
 import time
+from typing import Optional
 
 from repro.kernels.registry import make_kernel
 from repro.machine.presets import tiny_test_machine
+from repro.machine.ref import MachineRef
 from repro.measure import measure_kernel
 
 DAXPY_SIZES = (512, 1024, 2048, 4096)
@@ -38,12 +41,16 @@ DAXPY_SIZES = (512, 1024, 2048, 4096)
 # sweeps actually spend their time in (and where per-line
 # interpretation hurts most) is the upper end
 DGEMM_SIZES = (64, 96, 128, 160)
+# half the 16 KiB L3 up to 4.5x it: victim choice decides what survives
+DGEMV_SIZES = (32, 48, 64, 96)
 REPS = 3  # the measure-runner default: what sweeps actually pay
 
 
-def _sweep(engine: str, kernel_name: str, sizes) -> "object":
+def _sweep(engine: str, kernel_name: str, sizes,
+           l3_policy: Optional[str] = None) -> "object":
     """One full measurement sweep on a fresh machine; returns machine."""
-    machine = tiny_test_machine(engine=engine)
+    machine = MachineRef.of("tiny", l3_policy=l3_policy,
+                            engine=engine).build()
     for n in sizes:
         measure_kernel(machine, make_kernel(kernel_name), n, reps=REPS)
     return machine
@@ -72,6 +79,17 @@ def test_dgemm_sweep_reference(benchmark):
     assert machine.core(0).plan_stats.lookups == 0
 
 
+def test_dgemv_fifo_sweep_fast(benchmark):
+    machine = benchmark(_sweep, "fast", "dgemv-row", DGEMV_SIZES, "fifo")
+    assert machine.core(0).plan_stats.hits > 0
+
+
+def test_dgemv_fifo_sweep_reference(benchmark):
+    machine = benchmark(_sweep, "reference", "dgemv-row", DGEMV_SIZES,
+                        "fifo")
+    assert machine.core(0).plan_stats.lookups == 0
+
+
 # ----------------------------------------------------------------------
 # standalone baseline writer
 # ----------------------------------------------------------------------
@@ -90,13 +108,17 @@ def _time(fn, repeats: int) -> float:
     return min(samples)
 
 
-def _sweep_baseline(kernel_name: str, sizes, repeats: int) -> dict:
-    fast = _time(lambda: _sweep("fast", kernel_name, sizes), repeats)
-    ref = _time(lambda: _sweep("reference", kernel_name, sizes), repeats)
-    machine = _sweep("fast", kernel_name, sizes)
+def _sweep_baseline(kernel_name: str, sizes, repeats: int,
+                    l3_policy: Optional[str] = None) -> dict:
+    fast = _time(lambda: _sweep("fast", kernel_name, sizes, l3_policy),
+                 repeats)
+    ref = _time(lambda: _sweep("reference", kernel_name, sizes, l3_policy),
+                repeats)
+    machine = _sweep("fast", kernel_name, sizes, l3_policy)
     plan = machine.core(0).plan_stats
     return {
         "kernel": kernel_name,
+        "l3_policy": machine.spec.hierarchy.l3.policy,
         "sizes": list(sizes),
         "reps": REPS,
         "fast_seconds": fast,
@@ -144,6 +166,8 @@ def collect_baseline(repeats: int = 3) -> dict:
         "sweeps": {
             "daxpy": _sweep_baseline("daxpy", DAXPY_SIZES, repeats),
             "dgemm": _sweep_baseline("dgemm-tiled", DGEMM_SIZES, repeats),
+            "dgemv-fifo": _sweep_baseline("dgemv-row", DGEMV_SIZES,
+                                          repeats, l3_policy="fifo"),
         },
         "amortization": _amortization("daxpy", 4096, 5, repeats),
     }

@@ -3,11 +3,11 @@
 * the **compile tier** (:mod:`repro.engine.plan`) lowers a flat loop's
   memory sites into a reusable, cached :class:`AccessPlan`;
 * the **execute tier** (:mod:`repro.engine.datapath`) streams a plan
-  through the memory hierarchy with the per-line work inlined and
-  counters flushed in bulk.
+  through the compiled C kernel with counters applied in bulk.
 
-``engine="fast"`` (the default everywhere) uses both tiers;
-``engine="reference"`` keeps the original per-line dispatch path.  The
+``engine="fast"`` (the default everywhere) uses both tiers when the
+kernel is available, and the per-line port path otherwise;
+``engine="reference"`` always keeps the per-line dispatch path.  The
 two are counter-for-counter identical — see ``docs/ENGINE.md`` for the
 equivalence argument and the conformance gates that enforce it.
 """
@@ -20,7 +20,6 @@ from .plan import (
     PackedPlan,
     PlanCache,
     PlanCacheStats,
-    PlanSegment,
     SymbolicPlan,
     SymbolicRegistry,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "PackedPlan",
     "PlanCache",
     "PlanCacheStats",
-    "PlanSegment",
     "SymbolicPlan",
     "SymbolicRegistry",
     "validate_engine",

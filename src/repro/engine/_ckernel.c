@@ -1,13 +1,17 @@
 /* Compiled datapath kernel for the fast engine (array-state machines).
  *
- * This is a statement-for-statement transliteration of the inlined
- * dict-LRU loop in repro/engine/datapath.py (_execute_inline and
- * _single_miss), operating on the numpy array state shared with the
- * Python side:
+ * The kernel executes packed access plans and single-line accesses
+ * statement for statement as the per-line port path in
+ * repro/memory/hierarchy.py (CorePort._demand_lines, _nt_store_lines,
+ * software_prefetch, flush_lines and the fill/absorb chains), on the
+ * numpy array state shared with the Python side:
  *
- *   - Cache array backend (memory/cache.py): tags / dirty / stamp
- *     per (set, way), LRU as a monotone stamp; victim = smallest stamp
- *     among all-valid ways, empty ways (tag == -1) fill first.
+ *   - Cache array backend (memory/cache.py): tags / dirty per (set,
+ *     way) plus per-level replacement state.  LRU and FIFO keep a
+ *     monotone stamp (LRU re-stamps on hits and fills, FIFO on fills
+ *     only); tree-PLRU keeps assoc-1 tree bits per set; random draws
+ *     from the cache's one-slot xorshift state.  Empty ways
+ *     (tag == -1) fill first, whatever the policy.
  *   - ArrayTlb (memory/tlb.py): fully-associative page arrays with
  *     stamp-LRU replicating the dict insertion-order recency.
  *   - Array prefetcher tables (prefetch/arraystate.py).
@@ -17,9 +21,8 @@
  *
  * All counters are accumulated into the `out` array; the Python caller
  * applies them to BatchStats / CacheStats / TlbStats / PrefetchStats /
- * IMC counters exactly as the inline loop's flush epilogue does.
- * Per-home DRAM traffic accumulates into ctx->homes (nnodes x 4:
- * [demand_reads, prefetch_reads, writes, remote_lines]).
+ * IMC counters.  Per-home DRAM traffic accumulates into ctx->homes
+ * (nnodes x 4: [demand_reads, prefetch_reads, writes, remote_lines]).
  *
  * The equivalence contract (cross-engine conformance fuzz and
  * tests/engine) gates this file counter-for-counter against the
@@ -43,6 +46,10 @@ enum {
 
 /* run_meta[] per-run layout -- keep in sync with engine/plan.py */
 enum { RM_OP, RM_HOME, RM_REMOTE, RM_OFF, RM_N, RM_SID, RM_FIELDS };
+
+/* per-level replacement policy -- keep in sync with POLICY_CODES in
+ * engine/ckernel.py */
+enum { P_LRU, P_FIFO, P_PLRU, P_RANDOM };
 
 typedef struct {
     /* caches: 0 = L1, 1 = L2, 2 = L3 */
@@ -77,6 +84,12 @@ typedef struct {
     int64_t *regs;
     /* per-home DRAM accumulators, nnodes x 4 */
     int64_t *homes;
+    /* replacement policy per cache level and its state: stamp (LRU,
+     * FIFO), tree bits (PLRU, nsets x max(assoc-1, 1)), or the one-slot
+     * xorshift state (random) */
+    int64_t  policy[3];
+    uint8_t *plru[3];
+    int64_t *rng[3];
 } Ctx;
 
 /* ------------------------------------------------------------------ */
@@ -93,14 +106,87 @@ static inline int64_t way_find(const Ctx *c, int l, int64_t set,
     return -1;
 }
 
-static inline void touch(Ctx *c, int l, int64_t set, int64_t way) {
+/* tree-PLRU: point every bit on the way's path away from it (the
+ * walk of TreePlruPolicy._touch) */
+static inline void plru_touch(Ctx *c, int l, int64_t set, int64_t way) {
+    int64_t a = c->assoc[l];
+    uint8_t *bits = c->plru[l] + set * (a > 1 ? a - 1 : 1);
+    int64_t node = 0, span = a, offset = 0;
+    while (span > 1) {
+        int64_t half = span / 2;
+        int right = way >= offset + half;
+        bits[node] = right ? 0 : 1;
+        node = 2 * node + (right ? 2 : 1);
+        if (right)
+            offset += half;
+        span = half;
+    }
+}
+
+static inline void stamp(Ctx *c, int l, int64_t set, int64_t way) {
     c->regs[l] += 1;
     c->stamp[l][set * c->assoc[l] + way] = c->regs[l];
 }
 
+/* a demand or prefetch hit (Cache.lookup_update): FIFO and random
+ * keep no trace of hits */
+static inline void hit_touch(Ctx *c, int l, int64_t set, int64_t way) {
+    int64_t p = c->policy[l];
+    if (p == P_LRU)
+        stamp(c, l, set, way);
+    else if (p == P_PLRU)
+        plru_touch(c, l, set, way);
+}
+
+/* a fill into a way (Cache.fill) */
+static inline void fill_touch(Ctx *c, int l, int64_t set, int64_t way) {
+    int64_t p = c->policy[l];
+    if (p == P_LRU || p == P_FIFO)
+        stamp(c, l, set, way);
+    else if (p == P_PLRU)
+        plru_touch(c, l, set, way);
+}
+
+/* the way to evict from a full set */
+static int64_t victim(Ctx *c, int l, int64_t set) {
+    int64_t a = c->assoc[l];
+    int64_t p = c->policy[l];
+    if (p == P_PLRU) {
+        const uint8_t *bits = c->plru[l] + set * (a > 1 ? a - 1 : 1);
+        int64_t node = 0, span = a, offset = 0;
+        while (span > 1) {
+            int64_t half = span / 2;
+            int right = bits[node] == 1;
+            node = 2 * node + (right ? 2 : 1);
+            if (right)
+                offset += half;
+            span = half;
+        }
+        return offset;
+    }
+    if (p == P_RANDOM) {
+        /* RandomPolicy.victim: 32-bit xorshift */
+        uint64_t x = (uint64_t)*c->rng[l];
+        x ^= (x << 13) & 0xFFFFFFFFULL;
+        x ^= x >> 17;
+        x ^= (x << 5) & 0xFFFFFFFFULL;
+        *c->rng[l] = (int64_t)x;
+        return (int64_t)(x % (uint64_t)a);
+    }
+    /* LRU / FIFO: every way is valid here, so the smallest stamp is
+     * the recency-list tail */
+    const int64_t *s = c->stamp[l] + set * a;
+    int64_t way = 0;
+    for (int64_t w = 1; w < a; w++)
+        if (s[w] < s[way])
+            way = w;
+    return way;
+}
+
 /* insert an absent line; returns 1 when a victim was evicted
  * (ev_line/ev_dirty set), 0 when an empty way was used (occupancy
- * grows at the caller) */
+ * grows at the caller).  Every caller has just missed the line, so
+ * this is never the refill of a resident line. */
 static int fill_absent(Ctx *c, int l, int64_t line, int dirty,
                        int64_t *ev_line, int *ev_dirty) {
     int64_t set = line & c->set_mask[l];
@@ -112,18 +198,14 @@ static int fill_absent(Ctx *c, int l, int64_t line, int dirty,
         if (t[w] == -1) { way = w; break; }
     int evicted = 0;
     if (way < 0) {
-        int64_t *s = c->stamp[l] + set * a;
-        way = 0;
-        for (int64_t w = 1; w < a; w++)
-            if (s[w] < s[way])
-                way = w;
+        way = victim(c, l, set);
         *ev_line = t[way];
         *ev_dirty = d[way];
         evicted = 1;
     }
     t[way] = line;
     d[way] = (uint8_t)dirty;
-    touch(c, l, set, way);
+    fill_touch(c, l, set, way);
     return evicted;
 }
 
@@ -327,7 +409,7 @@ static void hw_fill(Ctx *c, int64_t line, int64_t home, int64_t *o) {
     int64_t evl;
     int evd;
     if (w >= 0) {
-        touch(c, 2, set3, w);
+        hit_touch(c, 2, set3, w);
         o[O_C3H] += 1;
     } else {
         o[O_C3M] += 1;
@@ -538,7 +620,7 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
     int64_t set1 = line & c->set_mask[0];
     int64_t w1 = way_find(c, 0, set1, line);
     if (w1 >= 0) {
-        touch(c, 0, set1, w1);
+        hit_touch(c, 0, set1, w1);
         if (is_write)
             c->dirty[0][set1 * c->assoc[0] + w1] = 1;
         o[O_L1H] += 1;
@@ -552,7 +634,7 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
     int64_t set2 = line & c->set_mask[1];
     int64_t w2 = way_find(c, 1, set2, line);
     if (w2 >= 0) {
-        touch(c, 1, set2, w2);
+        hit_touch(c, 1, set2, w2);
         o[O_L2H] += 1;
         if (pf_discard(c, line)) {
             o[O_PFU] += 1;
@@ -562,7 +644,7 @@ static void demand_line(Ctx *c, int64_t line, int64_t sid, int is_write,
         int64_t set3 = line & c->set_mask[2];
         int64_t w3 = way_find(c, 2, set3, line);
         if (w3 >= 0) {
-            touch(c, 2, set3, w3);
+            hit_touch(c, 2, set3, w3);
             o[O_L3H] += 1;
             if (pf_discard(c, line))
                 o[O_PFU] += 1;
@@ -623,7 +705,7 @@ static void swpf_line(Ctx *c, int64_t line, int64_t home, int64_t *o) {
         int64_t set3 = line & c->set_mask[2];
         int64_t w = way_find(c, 2, set3, line);
         if (w >= 0) {
-            touch(c, 2, set3, w);
+            hit_touch(c, 2, set3, w);
             o[O_C3H] += 1;
         } else {
             o[O_C3M] += 1;

@@ -4,11 +4,12 @@ The kernel is a single translation unit with no Python.h dependency,
 compiled on demand with the system C compiler into a shared object
 cached under ``~/.cache/repro-ckernel/`` (override with
 ``REPRO_CKERNEL_CACHE``), keyed by the source sha256 so stale binaries
-can never be picked up.  Loading is best-effort: any failure — no
-compiler, sandboxed filesystem, unsupported platform — degrades to
-``lib() is None`` and the engine falls back to the pure-Python
-datapath.  ``REPRO_CKERNEL=0`` disables the kernel outright (used by
-the conformance suite to exercise the fallback).
+can never be picked up.  The kernel is the fast engine's one datapath,
+for every replacement policy.  Loading is best-effort: any failure —
+no compiler, sandboxed filesystem, unsupported platform — degrades to
+``lib() is None``, and the fast engine then runs the reference
+per-line port path (:class:`~repro.memory.hierarchy.CorePort`).
+``REPRO_CKERNEL=0`` disables the kernel outright.
 
 The ctypes :class:`Ctx` mirrors the C struct field for field; every
 member is 8 bytes wide, so the layouts agree without padding concerns.
@@ -44,6 +45,9 @@ OUT_COUNT = len(OUT_FIELDS)
 RM_OP, RM_HOME, RM_REMOTE, RM_OFF, RM_N, RM_SID = range(6)
 RM_FIELDS = 6
 
+#: replacement-policy codes — keep in sync with the P_* enum
+POLICY_CODES = {"lru": 0, "fifo": 1, "plru": 2, "random": 3}
+
 _c64 = ctypes.c_int64
 _cp = ctypes.c_void_p
 
@@ -76,6 +80,9 @@ class Ctx(ctypes.Structure):
         ("page_shift", _c64),
         ("nl_on", _c64), ("sm_on", _c64), ("st_on", _c64),
         ("regs", _cp), ("homes", _cp),
+        ("policy", _c64 * 3),
+        ("plru", _cp * 3),
+        ("rng", _cp * 3),
     ]
 
 

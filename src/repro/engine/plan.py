@@ -2,10 +2,10 @@
 
 An :class:`AccessPlan` is the fully evaluated memory side of one flat
 (innermost) loop execution: the exact cache-line touch stream every
-site emits, in canonical emission order, pre-concatenated into
-:class:`PlanSegment` runs that the execute tier
-(:mod:`repro.engine.datapath`) streams through the hierarchy without
-re-deriving anything.
+site emits, in canonical emission order, packed into flat runs
+(:class:`PackedPlan`) that the execute tier
+(:mod:`repro.engine.datapath`) streams through the compiled kernel
+without re-deriving anything.
 
 Plans are *captured from the interpreter's own emission generator*, so
 by construction a plan contains the same lines, in the same order, that
@@ -19,7 +19,7 @@ Plans are cached in two tiers (see :class:`PlanCache`):
   width, buffer name, and referenced induction variables.  Nothing
   size-dependent (trip counts, strides, bases) enters the key, so the
   dgemm kernel at n=64 and n=160 resolves to the *same*
-  :class:`SymbolicPlan`: segments are parameterised over trip-count
+  :class:`SymbolicPlan`: runs are parameterised over trip-count
   and base/stride symbols and only materialised at binding time.
 * the **bound tier** is per core: a symbolic plan plus one concrete
   binding — ``(trips, site ids, per-site (base, stride, home))`` —
@@ -48,12 +48,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .ckernel import RM_FIELDS
+
 #: flush the whole per-core plan cache once it holds this many line
 #: entries (a coarse memory bound; sweeps over many distinct programs
 #: on one long-lived machine otherwise grow without limit)
 PLAN_CACHE_MAX_LINES = 8_000_000
 
-#: segment opcodes (``PlanSegment.op``), dispatched on by the datapath
+#: run opcodes (``PackedPlan.meta`` column 0), dispatched on by the kernel
 OP_DEMAND_READ = 0   # 'load' / 'gather'
 OP_DEMAND_WRITE = 1  # 'store'
 OP_NTSTORE = 2
@@ -68,40 +70,6 @@ _KIND_TO_OP = {
     "prefetch": OP_PREFETCH,
     "flush": OP_FLUSH,
 }
-
-
-@dataclass
-class PlanSegment:
-    """A maximal run of consecutive emissions from one memory site.
-
-    Beyond the captured emission (``kind``/``lines``/``home``/
-    ``stream_id``), the compile tier precomputes everything about the
-    segment the execute tier would otherwise re-derive per line:
-
-    * ``op`` — integer opcode (see ``OP_*``) for branch dispatch,
-    * ``rhome``/``remote`` — the NUMA home resolved against the owning
-      core's node (plans are cached per core, so this is static),
-    * ``first_page``/``walk_pages``/``last_page`` — the page-transition
-      structure of the line stream.  Only the first line's page depends
-      on runtime TLB cursor state; every *internal* transition is a
-      guaranteed page change, so the per-line ``page != last_page``
-      check collapses to one conditional plus a precomputed walk list.
-    """
-
-    kind: str        # 'load' | 'store' | 'ntstore' | 'gather' | 'prefetch' | 'flush'
-    lines: List[int]
-    home: int        # NUMA home node of the data
-    stream_id: int   # site id, the stride prefetcher's PC analogue
-    op: int = OP_DEMAND_READ
-    rhome: int = 0
-    remote: bool = False
-    first_page: int = -1
-    walk_pages: Tuple[int, ...] = ()
-    last_page: int = -1
-    #: merged-run form only (see ``AccessPlan.runs``): when a run fuses
-    #: segments from several sites, ``sids[i]`` is the stream id of
-    #: ``lines[i]``; ``None`` means the whole run shares ``stream_id``
-    sids: Optional[List[int]] = None
 
 
 @dataclass
@@ -152,149 +120,63 @@ class PackedPlan:
 class AccessPlan:
     """The lowered memory traffic of one flat-loop execution context."""
 
-    segments: List[PlanSegment]
-    total_lines: int = 0
-    #: every segment resolves to one home node (the overwhelmingly
-    #: common case): the datapath then skips per-segment DRAM-home
-    #: accounting and attributes plan totals in one step
-    single_home: bool = True
-    home0: int = 0
-    remote0: bool = False
-    #: execution form: consecutive ``segments`` with the same opcode and
-    #: resolved home fused into flat runs.  Interleaved multi-site
-    #: bodies (a dgemm inner loop alternating two load sites) otherwise
-    #: average ~1 line per segment, so the datapath's per-segment
-    #: preamble would be paid per *line*; fused runs restore long
-    #: streams, carrying per-line stream ids in ``sids`` when sites mix
-    runs: List[PlanSegment] = field(default_factory=list)
-    #: array execution form for the compiled kernel (built directly by
-    #: the affine lowering under ``packed=True``, or lazily from
-    #: ``runs`` via :meth:`ensure_packed` for captured plans)
+    #: the runs, in the array form the compiled kernel executes
     packed: Optional[PackedPlan] = None
-
-    @property
-    def run_count(self) -> int:
-        """Number of lowered execution units (for build telemetry)."""
-        n = len(self.segments) or len(self.runs)
-        if not n and self.packed is not None:
-            n = self.packed.nruns
-        return n
-
-    def ensure_packed(self) -> PackedPlan:
-        """The packed array form, built from ``runs`` on first use."""
-        if self.packed is not None:
-            return self.packed
-        runs = self.runs
-        meta = np.zeros((len(runs), 6), dtype=np.int64)
-        total = sum(len(seg.lines) for seg in runs)
-        lines = np.empty(total, dtype=np.int64)
-        sids = np.zeros(total, dtype=np.int64)
-        off = 0
-        for k, seg in enumerate(runs):
-            n = len(seg.lines)
-            lines[off:off + n] = seg.lines
-            if seg.sids is not None:
-                sids[off:off + n] = seg.sids
-                sid_mode = -1
-            else:
-                sid_mode = seg.stream_id
-            row = meta[k]
-            row[0] = seg.op
-            row[1] = seg.rhome
-            row[2] = 1 if seg.remote else 0
-            row[3] = off
-            row[4] = n
-            row[5] = sid_mode
-            off += n
-        self.packed = PackedPlan(meta=meta, lines=lines, sids=sids)
-        return self.packed
+    total_lines: int = 0
+    #: lowered execution units, for build telemetry: the per-site
+    #: segments of a captured plan, the runs of an affine one
+    run_count: int = 0
 
     @classmethod
-    def from_emissions(cls, emissions: Iterable, page_shift: int,
+    def from_emissions(cls, emissions: Iterable,
                        own_node: int) -> "AccessPlan":
-        """Capture ``(site, lines, node)`` emissions into segments.
+        """Capture ``(site, lines, node)`` emissions into packed runs.
 
-        Consecutive emissions from the same site are concatenated (the
-        interleaved walker emits one short burst per crossing
-        iteration); emissions from different sites are kept as separate
-        segments so per-line execution order is preserved exactly.
-        After capture the execute metadata is precomputed once — same-op
-        segments fused into runs, homes resolved, page-transition
-        structure extracted — this is the "lowering" the plan cache
-        amortises across reps, A/B windows, and protocol reruns.
+        Consecutive emissions with the same opcode and resolved home
+        fuse into one run, in emission order, so the line stream the
+        kernel replays is exactly the walker's.  Interleaved multi-site
+        bodies (a dgemm inner loop alternating two load sites) would
+        otherwise average about one line per run; a demand run that
+        mixes sites carries per-line stream ids (``sid_mode == -1``),
+        since demand traffic trains the stride prefetcher.  This is the
+        "lowering" the plan cache amortises across reps, A/B windows,
+        and protocol reruns.
         """
-        segments: List[PlanSegment] = []
-        total = 0
-        last_site_id = None
-        current: List[int] = []
-        for site, lines, node in emissions:
-            total += len(lines)
-            if site.site_id == last_site_id:
-                current.extend(lines)
-                continue
-            current = list(lines)
-            segments.append(
-                PlanSegment(site.kind, current, node, site.site_id)
-            )
-            last_site_id = site.site_id
-
-        homes = set()
-        for seg in segments:
-            op = _KIND_TO_OP[seg.kind]
-            seg.op = op
-            rhome = seg.home if seg.home is not None else own_node
-            seg.rhome = rhome
-            seg.remote = rhome != own_node
-            homes.add(rhome)
-
-        # fuse consecutive same-(op, home) segments into execution runs;
-        # per-line order is the concatenation order, so the line stream
-        # the datapath replays is unchanged — only the loop bookkeeping
-        # moves from per-segment to per-run
-        runs: List[PlanSegment] = []
-        owned = False  # runs[-1] is a private copy (safe to extend)
-        for seg in segments:
-            prev = runs[-1] if runs else None
-            if prev is not None and seg.op == prev.op \
-                    and seg.rhome == prev.rhome:
-                if not owned:
-                    prev = PlanSegment(
-                        prev.kind, list(prev.lines), prev.home,
-                        prev.stream_id, op=prev.op, rhome=prev.rhome,
-                        remote=prev.remote,
-                    )
-                    runs[-1] = prev
-                    owned = True
-                if seg.op <= OP_DEMAND_WRITE:
-                    # only demand traffic trains the stride prefetcher,
-                    # so only demand runs need per-line stream ids
-                    if prev.sids is not None:
-                        prev.sids.extend(
-                            [seg.stream_id] * len(seg.lines))
-                    elif seg.stream_id != prev.stream_id:
-                        prev.sids = [prev.stream_id] * len(prev.lines)
-                        prev.sids.extend(
-                            [seg.stream_id] * len(seg.lines))
-                prev.lines.extend(seg.lines)
-                continue
-            runs.append(seg)
-            owned = False
-        for run in runs:
-            if run.op <= OP_NTSTORE and run.lines:
-                _precompute_pages(run, page_shift)
-
-        plan = cls(segments=segments, total_lines=total, runs=runs)
-        if len(homes) <= 1:
-            plan.home0 = homes.pop() if homes else own_node
-            plan.remote0 = plan.home0 != own_node
-        else:
-            plan.single_home = False
-        return plan
+        rows: List[List[int]] = []
+        lines: List[int] = []
+        sids: List[int] = []
+        segments = 0
+        last_site = None
+        run_key = None
+        row: List[int] = []
+        for site, site_lines, node in emissions:
+            sid = site.site_id
+            if sid != last_site:
+                segments += 1
+                last_site = sid
+            op = _KIND_TO_OP[site.kind]
+            rhome = own_node if node is None else node
+            if (op, rhome) != run_key:
+                run_key = (op, rhome)
+                row = [op, rhome, int(rhome != own_node), len(lines), 0, sid]
+                rows.append(row)
+            elif row[5] != sid and op <= OP_DEMAND_WRITE:
+                row[5] = -1
+            n = len(site_lines)
+            row[4] += n
+            lines.extend(site_lines)
+            sids.extend([sid] * n)
+        packed = PackedPlan(
+            meta=np.array(rows, dtype=np.int64).reshape(-1, RM_FIELDS),
+            lines=np.array(lines, dtype=np.int64),
+            sids=np.array(sids, dtype=np.int64),
+        )
+        return cls(packed=packed, total_lines=len(lines),
+                   run_count=segments)
 
     @classmethod
     def from_affine_sites(cls, sites, trips: int, line_shift: int,
-                          page_shift: int, own_node: int,
-                          packed: bool = False) -> "AccessPlan":
+                          own_node: int) -> "AccessPlan":
         """Vectorized lowering of an affine flat loop (1..n sites).
 
         ``sites`` is a list of ``(kind, site_id, base, stride,
@@ -305,14 +187,7 @@ class AccessPlan:
         range expansion are computed in numpy instead of per-burst
         Python (the walker averages ~1 line per burst on interleaved
         bodies, so per-burst work dominates compile time otherwise).
-
-        With ``packed=True`` the plan carries only the
-        :class:`PackedPlan` array form — the run metadata and flat line
-        stream stay numpy end to end (no ``.tolist()``), which is the
-        materialisation the compiled datapath kernel consumes.  The
-        returned plan carries ``segments=()`` either way: callers use
-        this form only when the inlined or compiled datapath is active,
-        which never takes the segment-granular fallback.
+        The run metadata and flat line stream stay numpy end to end.
         """
         nsites = len(sites)
         trange = np.arange(trips, dtype=np.int64)
@@ -369,95 +244,28 @@ class AccessPlan:
             (op_b[1:] != op_b[:-1]) | (rh_b[1:] != rh_b[:-1])) + 1
         bounds = np.concatenate(([0], brk, [counts.size]))
 
-        if packed:
-            b0s = bounds[:-1]
-            offs = line_cum[b0s]
-            meta = np.empty((b0s.size, 6), dtype=np.int64)
-            meta[:, 0] = op_b[b0s]
-            meta[:, 1] = rh_b[b0s]
-            meta[:, 2] = meta[:, 1] != own_node
-            meta[:, 3] = offs
-            meta[:, 4] = line_cum[bounds[1:]] - offs
-            smin = np.minimum.reduceat(sid_flat, offs)
-            smax = np.maximum.reduceat(sid_flat, offs)
-            meta[:, 5] = np.where(smin == smax, smin, -1)
-            plan = cls(
-                segments=[], total_lines=total,
-                packed=PackedPlan(meta=meta, lines=lines_flat,
-                                  sids=sid_flat),
-            )
-            uh = np.unique(rh_b)
-            if uh.size <= 1:
-                plan.home0 = int(uh[0]) if uh.size else own_node
-                plan.remote0 = plan.home0 != own_node
-            else:
-                plan.single_home = False
-            return plan
-
-        runs: List[PlanSegment] = []
-        homes = set()
-        for k in range(bounds.size - 1):
-            b0 = int(bounds[k])
-            b1 = int(bounds[k + 1])
-            l0 = int(line_cum[b0])
-            l1 = int(line_cum[b1])
-            chunk = lines_flat[l0:l1]
-            op = int(op_b[b0])
-            rhome = int(rh_b[b0])
-            homes.add(rhome)
-            schunk = sid_flat[l0:l1]
-            seg = PlanSegment(
-                sites[int(si_b[b0])][0], chunk.tolist(), rhome,
-                int(schunk[0]), op=op, rhome=rhome,
-                remote=rhome != own_node,
-            )
-            if op <= OP_DEMAND_WRITE \
-                    and int(schunk.min()) != int(schunk.max()):
-                seg.sids = schunk.tolist()
-            if op <= OP_NTSTORE:
-                pages = chunk >> page_shift
-                seg.first_page = int(pages[0])
-                seg.last_page = int(pages[-1])
-                idx = np.flatnonzero(pages[1:] != pages[:-1])
-                seg.walk_pages = tuple(int(p) for p in pages[idx + 1])
-            runs.append(seg)
-
-        plan = cls(segments=[], total_lines=total, runs=runs)
-        if len(homes) <= 1:
-            plan.home0 = homes.pop() if homes else own_node
-            plan.remote0 = plan.home0 != own_node
-        else:
-            plan.single_home = False
-        return plan
-
-
-def _precompute_pages(seg: PlanSegment, page_shift: int) -> None:
-    """Fill a demand/NT segment's page-transition fields."""
-    lines = seg.lines
-    if len(lines) > 64:
-        pages = np.asarray(lines, dtype=np.int64) >> page_shift
-        seg.first_page = int(pages[0])
-        seg.last_page = int(pages[-1])
-        idx = np.flatnonzero(pages[1:] != pages[:-1])
-        seg.walk_pages = tuple(int(p) for p in pages[idx + 1])
-        return
-    first = last = lines[0] >> page_shift
-    walks: List[int] = []
-    for line in lines[1:]:
-        page = line >> page_shift
-        if page != last:
-            walks.append(page)
-            last = page
-    seg.first_page = first
-    seg.last_page = last
-    seg.walk_pages = tuple(walks)
+        b0s = bounds[:-1]
+        offs = line_cum[b0s]
+        meta = np.empty((b0s.size, RM_FIELDS), dtype=np.int64)
+        meta[:, 0] = op_b[b0s]
+        meta[:, 1] = rh_b[b0s]
+        meta[:, 2] = meta[:, 1] != own_node
+        meta[:, 3] = offs
+        meta[:, 4] = line_cum[bounds[1:]] - offs
+        smin = np.minimum.reduceat(sid_flat, offs)
+        smax = np.maximum.reduceat(sid_flat, offs)
+        meta[:, 5] = np.where(smin == smax, smin, -1)
+        return cls(
+            packed=PackedPlan(meta=meta, lines=lines_flat, sids=sid_flat),
+            total_lines=total, run_count=b0s.size,
+        )
 
 
 class SymbolicPlan:
     """One interned loop structure: the size-polymorphic plan.
 
     A symbolic plan is the compile artifact keyed on loop/kernel
-    identity alone.  Its segments exist only as *symbols* — per-site
+    identity alone.  Its runs exist only as *symbols* — per-site
     access kind and width with free trip-count, base, stride, and home
     parameters — and :meth:`bind` materialises a concrete
     :class:`AccessPlan` for one assignment of those symbols via the
@@ -472,17 +280,16 @@ class SymbolicPlan:
         self.plan_id = plan_id
         self.skey = skey
 
-    def bind(self, sites, trips: int, line_shift: int, page_shift: int,
-             own_node: int, packed: bool = False) -> AccessPlan:
+    def bind(self, sites, trips: int, line_shift: int,
+             own_node: int) -> AccessPlan:
         """Materialise under one concrete symbol assignment.
 
         ``sites`` supplies the bound symbols in body order —
         ``(kind, site_id, base, stride, width_bytes, node)`` — and
         ``trips`` the bound trip count.
         """
-        return AccessPlan.from_affine_sites(
-            sites, trips, line_shift, page_shift, own_node, packed=packed
-        )
+        return AccessPlan.from_affine_sites(sites, trips, line_shift,
+                                            own_node)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"SymbolicPlan(id={self.plan_id}, loop={self.skey[0]!r})"
@@ -527,9 +334,8 @@ class PlanCacheStats:
     a hit.  Binding-level materialisation work is what
     ``built_segments``/``built_lines`` track, and ``flushes`` counts
     whole-cache evictions of the bound tier at the line cap.  Concrete
-    fallback lookups (gathers, negative strides, segment-fallback
-    machines) land in the same counters with their capture-key
-    semantics.
+    fallback lookups (gathers, negative strides) land in the same
+    counters with their capture-key semantics.
     """
 
     hits: int = 0

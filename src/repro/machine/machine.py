@@ -86,16 +86,19 @@ class Machine:
 
     def __init__(self, spec: MachineSpec, engine: str = "fast") -> None:
         self.spec = spec
-        #: execution engine for every core this machine creates; may be
-        #: reassigned before the first :meth:`core` call (machine refs
-        #: do this when rebuilding from a spec)
-        self.engine = validate_engine(engine)
+        self._engine = validate_engine(engine)
         self.topology = spec.topology
         self.ports = spec.ports
         self.governor = FrequencyGovernor(
             spec.base_hz, spec.turbo_steps, turbo_enabled=False
         )
-        self.hierarchy = MemoryHierarchy(spec.hierarchy, spec.topology)
+        # the fast engine runs on the array state the compiled kernel
+        # shares, chosen here once: the representation never depends
+        # on whether a port or a core is opened first
+        self.hierarchy = MemoryHierarchy(
+            spec.hierarchy, spec.topology,
+            array=engine == "fast" and ckernel.available(),
+        )
         #: the machine-wide trace event bus (see :mod:`repro.trace`);
         #: disabled until a sink is attached, at zero simulation cost
         self.trace = self.hierarchy.bus
@@ -108,6 +111,12 @@ class Machine:
         self._core_pmus: Dict[int, CorePmu] = {}
         self._cores: Dict[int, Core] = {}
         self._sessions: List[object] = []
+
+    @property
+    def engine(self) -> str:
+        """Execution engine of every core; fixed at construction, since
+        it chose the hierarchy's state representation."""
+        return self._engine
 
     # ------------------------------------------------------------------
     # session observers (counter-multiplexing support)
@@ -137,14 +146,6 @@ class Machine:
     def core(self, core_id: int) -> Core:
         if core_id not in self._cores:
             self._check_core(core_id)
-            if not self._cores and self.engine == "fast" \
-                    and ckernel.available():
-                # swap to the numpy array state the compiled datapath
-                # shares; must precede the first CorePort construction
-                # (ports capture the cache/TLB representation).  Engine
-                # reassignment after construction is honoured because
-                # no core exists yet at this point.
-                self.hierarchy.adopt_array_backend()
             self._cores[core_id] = Core(
                 core_id,
                 self.ports,

@@ -6,17 +6,17 @@ the core's cycle model (:mod:`repro.cpu.core`), not here.
 
 Three internal representations are used:
 
-* ``dict`` — an ordered-dict fast path for LRU (the common case on
-  every preset — Python dicts preserve insertion order, giving O(1)
-  recency updates).  The batched datapath
-  (:mod:`repro.engine.datapath`) inlines against this representation.
+* ``dict`` — an ordered-dict fast path for LRU (Python dicts preserve
+  insertion order, giving O(1) recency updates); the default for LRU
+  levels driven by the per-line port path.
 * ``ways`` — a generic ways-list representation driven by a
   :class:`~repro.memory.replacement.ReplacementPolicy` for the
   replacement-policy ablation.
-* ``array`` — numpy-backed tag/dirty/recency arrays with the policy
-  state flattened into per-set stamp or tree-bit rows; behaviourally
-  identical to ``ways`` for every policy (hypothesis-verified in
-  ``tests/memory/test_cache_array.py``).
+* ``array`` — numpy-backed tag/dirty arrays with the policy state
+  flattened into per-set stamp or tree-bit rows; the state the
+  compiled datapath (:mod:`repro.engine.ckernel`) executes on for
+  every policy, behaviourally identical to ``ways`` (hypothesis-verified
+  in ``tests/memory/test_cache_array.py``).
 
 All representations expose identical behaviour, which the
 property-based tests verify against each other.
@@ -168,8 +168,8 @@ class Cache:
           valid way with the smallest stamp, which matches the
           recency-list order of the ``ways`` backend exactly.
         * tree-PLRU — the assoc-1 tree bits as a row of ``_plru``.
-        * random — no per-set state; victims come from the shared
-          policy instance's deterministic xorshift stream.
+        * random — no per-set state; victims come from the policy's
+          one-slot xorshift state ``_rng``, shared with the C kernel.
         """
         nsets, assoc = self.config.nsets, self._assoc
         kind = self._policy.name
@@ -180,12 +180,16 @@ class Cache:
         self._akind = kind
         self._tags = np.full((nsets, assoc), -1, dtype=np.int64)
         self._adirty = np.zeros((nsets, assoc), dtype=bool)
+        # the stamp clock; kept for every policy so the C kernel's tick
+        # registers sync the same way whatever the level's policy
+        self._tick = 0
         if kind in ("lru", "fifo"):
             self._stamp = np.zeros((nsets, assoc), dtype=np.int64)
-            self._tick = 0
         elif kind == "plru":
             self._plru = np.zeros((nsets, max(assoc - 1, 1)), dtype=np.uint8)
-        elif kind != "random":
+        elif kind == "random":
+            self._rng = self._policy.rng
+        else:
             raise ConfigurationError(
                 f"array backend does not support policy {kind!r}"
             )

@@ -148,68 +148,48 @@ def default_prefetchers() -> List[Prefetcher]:
     ]
 
 
+def array_prefetchers() -> List[Prefetcher]:
+    """The stock engine set over the array tables the C kernel shares."""
+    return [
+        NextLinePrefetcher(),
+        ArrayStreamPrefetcher(),
+        ArrayStridePrefetcher(),
+    ]
+
+
 class MemoryHierarchy:
     """All caches and DRAM nodes of one machine."""
 
     def __init__(self, config: HierarchyConfig, topology: Topology,
                  prefetch_factory: Optional[Callable[[], List[Prefetcher]]] = None,
-                 prefetch_control: Optional[PrefetchControl] = None) -> None:
+                 prefetch_control: Optional[PrefetchControl] = None,
+                 array: bool = False) -> None:
         self.config = config
         self.topology = topology
         #: trace event bus shared by every port (and the owning machine);
         #: disabled — hence zero-overhead — until a sink is attached
         self.bus = TraceBus()
         self.prefetch_control = prefetch_control or PrefetchControl()
-        factory = prefetch_factory or default_prefetchers
+        #: True when the caches, TLBs and prefetchers hold the numpy
+        #: array state the compiled datapath kernel executes on.  Asked
+        #: for with ``array`` (the machine does so for the fast engine
+        #: when the kernel loaded); a custom prefetcher factory keeps
+        #: the per-line representations, since the kernel implements
+        #: only the stock engines.
+        self.array_mode = array and prefetch_factory is None
+        backend = "array" if self.array_mode else None
         ncores = topology.total_cores
-        self.l1 = [Cache(config.l1) for _ in range(ncores)]
-        self.l2 = [Cache(config.l2) for _ in range(ncores)]
-        self.l3 = [Cache(config.l3) for _ in range(topology.sockets)]
+        self.l1 = [Cache(config.l1, backend=backend) for _ in range(ncores)]
+        self.l2 = [Cache(config.l2, backend=backend) for _ in range(ncores)]
+        self.l3 = [Cache(config.l3, backend=backend)
+                   for _ in range(topology.sockets)]
         self.dram = [DramNode(node, config.dram) for node in range(topology.sockets)]
+        if self.array_mode:
+            factory = array_prefetchers
+        else:
+            factory = prefetch_factory or default_prefetchers
         self._prefetchers: List[List[Prefetcher]] = [factory() for _ in range(ncores)]
         self._ports: Dict[int, CorePort] = {}
-        self._custom_prefetch = prefetch_factory is not None
-        #: True once the caches/TLBs/prefetchers were swapped to the
-        #: numpy array state the compiled datapath kernel shares
-        self.array_mode = False
-
-    def adopt_array_backend(self) -> bool:
-        """Swap every cache and prefetcher to numpy array state.
-
-        Called by the machine before the first core is built when the
-        fast engine will drive this hierarchy through the compiled C
-        datapath.  The array state is behaviourally identical to the
-        dict state (hypothesis-verified), and is shared between the C
-        kernel and the Python port paths, so rare operations (multi-line
-        singles, flushes, conformance introspection) stay exact.
-
-        Only LRU hierarchies with the stock prefetcher set are eligible;
-        returns False (leaving the dict state in place) otherwise.
-        """
-        if self.array_mode:
-            return True
-        if self._ports:
-            return False  # ports already hold references to the dict state
-        if self._custom_prefetch:
-            return False
-        cfg = self.config
-        for level in (cfg.l1, cfg.l2, cfg.l3):
-            if level.policy != "lru":
-                return False
-        if any(c.occupancy() for c in self.l1 + self.l2 + self.l3):
-            return False
-        ncores = self.topology.total_cores
-        self.l1 = [Cache(cfg.l1, backend="array") for _ in range(ncores)]
-        self.l2 = [Cache(cfg.l2, backend="array") for _ in range(ncores)]
-        self.l3 = [Cache(cfg.l3, backend="array")
-                   for _ in range(self.topology.sockets)]
-        self._prefetchers = [
-            [NextLinePrefetcher(), ArrayStreamPrefetcher(),
-             ArrayStridePrefetcher()]
-            for _ in range(ncores)
-        ]
-        self.array_mode = True
-        return True
 
     def port(self, core_id: int) -> "CorePort":
         """The (cached) access port of one core."""
@@ -267,13 +247,22 @@ class CorePort:
     """One core's view of the hierarchy; drives all demand traffic."""
 
     def __init__(self, hierarchy: MemoryHierarchy, core_id: int) -> None:
-        self.hierarchy = hierarchy
+        # what the port needs of its hierarchy is held directly, not the
+        # hierarchy itself: the hierarchy caches its ports, so a back
+        # reference would be a cycle, and a dropped machine's cache
+        # arrays would wait for the cyclic collector instead of being
+        # freed at once
         self.bus = hierarchy.bus
         self.core_id = core_id
         self.node = hierarchy.topology.node_of_core(core_id)
         self.l1 = hierarchy.l1[core_id]
         self.l2 = hierarchy.l2[core_id]
         self.l3 = hierarchy.l3[self.node]
+        self.dram = hierarchy.dram
+        self.prefetch_control = hierarchy.prefetch_control
+        #: this core's prefetch engines (the hierarchy's list object)
+        self.engines = hierarchy.prefetchers_of(core_id)
+        self.array_mode = hierarchy.array_mode
         if hierarchy.array_mode:
             self.tlb = ArrayTlb(hierarchy.config.tlb)
             self._prefetched = PrefetchedSet()
@@ -345,7 +334,7 @@ class CorePort:
         if stats.hw_prefetch_issued or stats.sw_prefetches or stats.prefetch_useful:
             engines = {
                 engine.kind: engine.stats.as_dict()
-                for engine in self.hierarchy.prefetchers_of(core)
+                for engine in self.engines
             }
             bus.emit(TraceEvent(PREFETCH, f"core{core}", ts, core=core, args={
                 "hw_issued": stats.hw_prefetch_issued,
@@ -395,7 +384,7 @@ class CorePort:
         if stats.hw_prefetch_issued or stats.sw_prefetches or stats.prefetch_useful:
             engines = {
                 engine.kind: engine.stats.as_dict()
-                for engine in self.hierarchy.prefetchers_of(core)
+                for engine in self.engines
             }
             bus.emit(TraceEvent(PREFETCH, f"core{core}", ts, core=core, args={
                 "hw_issued": stats.hw_prefetch_issued,
@@ -413,12 +402,12 @@ class CorePort:
         prefetched = self._prefetched
         engines = [
             engine
-            for engine in self.hierarchy.prefetchers_of(self.core_id)
-            if self.hierarchy.prefetch_control.is_enabled(engine.kind)
+            for engine in self.engines
+            if self.prefetch_control.is_enabled(engine.kind)
         ]
         hit_engines = [engine for engine in engines if engine.train_on_hits]
         remote = home != self.node
-        dram = self.hierarchy.dram[home]
+        dram = self.dram[home]
         tlb = self.tlb
         page_shift = self._page_shift
         for line in lines:
@@ -468,7 +457,7 @@ class CorePort:
     def _nt_store_lines(self, lines, home: int, stats: BatchStats) -> None:
         """Streaming stores: bypass the hierarchy, invalidate stale
         copies, and write combined lines straight to DRAM (no RFO)."""
-        dram = self.hierarchy.dram[home]
+        dram = self.dram[home]
         remote = home != self.node
         page_shift = self._page_shift
         for line in lines:
@@ -535,7 +524,7 @@ class CorePort:
     # ------------------------------------------------------------------
     def _hw_prefetch(self, lines, home: int, stats: BatchStats) -> None:
         """Bring prefetch candidates into L2+L3 (never L1)."""
-        dram = self.hierarchy.dram[home]
+        dram = self.dram[home]
         with SPANS("mem.prefetch.hw"):
             self._hw_prefetch_lines(lines, dram, stats)
 
@@ -555,7 +544,7 @@ class CorePort:
         """prefetcht0: bring lines into every level without an access."""
         stats = BatchStats()
         home = self.node if node is None else node
-        dram = self.hierarchy.dram[home]
+        dram = self.dram[home]
         with SPANS("mem.prefetch.sw"):
             for line in lines:
                 stats.sw_prefetches += 1
@@ -578,7 +567,7 @@ class CorePort:
         """clflush: drop lines everywhere, writing dirty data back."""
         stats = BatchStats()
         home = self.node if node is None else node
-        dram = self.hierarchy.dram[home]
+        dram = self.dram[home]
         with SPANS("mem.flush"):
             for line in lines:
                 stats.flushes += 1

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 
@@ -130,13 +132,16 @@ class RandomPolicy(ReplacementPolicy):
     """Deterministic pseudo-random victim selection (xorshift LCG).
 
     Deterministic so experiments are reproducible run to run, which the
-    measurement protocols rely on.
+    measurement protocols rely on.  The generator state lives in the
+    one-slot int64 array :attr:`rng`, which the array cache backend
+    shares with the compiled datapath kernel, so victims drawn in C and
+    in Python come from one stream in call order.
     """
 
     name = "random"
 
     def __init__(self, seed: int = 0x9E3779B9) -> None:
-        self._state = seed & 0xFFFFFFFF
+        self.rng = np.array([seed & 0xFFFFFFFF], dtype=np.int64)
 
     def new_state(self, assoc: int):
         return None
@@ -148,11 +153,11 @@ class RandomPolicy(ReplacementPolicy):
         pass
 
     def victim(self, state, assoc: int) -> int:
-        x = self._state
+        x = int(self.rng[0])
         x ^= (x << 13) & 0xFFFFFFFF
         x ^= x >> 17
         x ^= (x << 5) & 0xFFFFFFFF
-        self._state = x
+        self.rng[0] = x
         return x % assoc
 
 

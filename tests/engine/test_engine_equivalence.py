@@ -12,10 +12,17 @@ happens, and only on the fast engine).
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 import pytest
 
-from repro.engine import ENGINES, AccessPlan, PlanCache, validate_engine
+from repro.engine import (
+    ENGINES,
+    AccessPlan,
+    PlanCache,
+    ckernel,
+    validate_engine,
+)
 from repro.errors import ConfigurationError
 from repro.isa import ProgramBuilder
 from repro.kernels import CodegenCaps, kernel_names, make_kernel
@@ -24,8 +31,10 @@ from repro.machine.presets import (
     oracle_test_machine,
     tiny_test_machine,
 )
-from repro.machine.ref import MachineRef
+from repro.machine.machine import Machine
+from repro.machine.ref import MachineRef, apply_l3_policy
 from repro.measure import measure_kernel
+from repro.memory.replacement import policy_names
 from repro.oracle import render_program, run_cross_engine
 from repro.trace import measurement_to_dict
 
@@ -109,26 +118,50 @@ def test_fast_engine_matches_reference_engine(data):
 #: big-uniform-cache preset the analytic model targets
 _MATRIX_PRESETS = {
     "tiny": tiny_test_machine,
-    "snb": lambda: make_machine("snb", scale=0.0625),
+    "snb": lambda engine="fast": make_machine("snb", scale=0.0625,
+                                              engine=engine),
     "oracle": oracle_test_machine,
 }
 #: all prefetchers on, a mixed mask, and all off
 _MATRIX_MASKS = (0, 5, 15)
 _MATRIX_KERNELS = ("daxpy", "stencil3", "spmv")
+#: L3 replacement-policy overrides (None keeps the preset's LRU); every
+#: policy runs through the compiled datapath on the fast side
+_MATRIX_POLICIES = (None, "fifo", "plru", "random")
+_MATRIX_CASES = [
+    pytest.param(preset, mask, policy,
+                 id=f"{preset}-{mask}" + (f"-{policy}" if policy else ""))
+    for preset in sorted(_MATRIX_PRESETS)
+    for mask in _MATRIX_MASKS
+    for policy in _MATRIX_POLICIES
+]
 
 
-@pytest.mark.parametrize("mask", _MATRIX_MASKS)
-@pytest.mark.parametrize("preset", sorted(_MATRIX_PRESETS))
-def test_cross_engine_matrix_preset_by_prefetchers(preset, mask):
-    factory = _MATRIX_PRESETS[preset]
-    caps = CodegenCaps.from_machine(factory())
+def _with_l3_policy(factory, policy):
+    """``factory`` with its L3 policy overridden (as ``l3_policy`` on a
+    machine ref does); the engine still reaches the constructor."""
+    if policy is None:
+        return factory
+
+    def build(engine="fast"):
+        spec = apply_l3_policy(factory().spec, policy)
+        return Machine(spec, engine=engine)
+    return build
+
+
+@pytest.mark.parametrize("preset, mask, policy", _MATRIX_CASES)
+def test_cross_engine_matrix_preset_by_prefetchers(preset, mask, policy):
+    factory = _with_l3_policy(_MATRIX_PRESETS[preset], policy)
+    fast = factory()
+    assert fast.hierarchy.l3[0].config.policy == (policy or "lru")
+    caps = CodegenCaps.from_machine(fast)
     for name in _MATRIX_KERNELS:
         program = make_kernel(name).build(64, caps)
         outcome = run_cross_engine(
             program, prefetch_mask=mask, machine_factory=factory
         )
         assert outcome.ok, "\n".join(
-            [f"preset {preset} mask {mask} kernel {name}"]
+            [f"preset {preset} mask {mask} policy {policy} kernel {name}"]
             + [str(d) for d in outcome.divergences]
         )
 
@@ -161,6 +194,8 @@ def test_non_affine_loops_take_the_concrete_fallback_and_match(build):
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
     # white-box: these shapes are not symbolically plannable, so they
     # must land in the capture-keyed concrete tier, never the bound one
+    if not ckernel.available():
+        pytest.skip("no compile tier without the C kernel")
     machine = tiny_test_machine()
     machine.run(machine.load(program))
     cache = machine.core(0).plan_cache
@@ -171,16 +206,34 @@ def test_non_affine_loops_take_the_concrete_fallback_and_match(build):
 # ----------------------------------------------------------------------
 # full-methodology byte identity on every registry kernel
 # ----------------------------------------------------------------------
-def _measure_doc(engine: str, name: str, n: int) -> str:
-    machine = tiny_test_machine(engine=engine)
-    measurement = measure_kernel(machine, make_kernel(name), n, reps=2)
+def _measure_doc(engine: str, name: str, n: int,
+                 policy: Optional[str] = None) -> str:
+    if policy is None:
+        machine = tiny_test_machine(engine=engine)
+        measurement = measure_kernel(machine, make_kernel(name), n, reps=2)
+    else:
+        # A1's point: dgemv-row past the L3 under each replacement
+        # policy, warm protocol
+        machine = MachineRef.of("tiny", l3_policy=policy,
+                                engine=engine).build()
+        measurement = measure_kernel(machine, make_kernel(name), n,
+                                     protocol="warm", reps=2)
     return json.dumps(measurement_to_dict(measurement), sort_keys=True)
 
 
-@pytest.mark.parametrize("name", kernel_names())
-def test_measure_kernel_byte_identical_across_engines(name):
+_BYTE_IDENTITY_CASES = [
+    pytest.param(name, None, id=name) for name in kernel_names()
+] + [
+    pytest.param("dgemv-row", policy, id=f"dgemv-row-{policy}")
+    for policy in policy_names()
+]
+
+
+@pytest.mark.parametrize("name, policy", _BYTE_IDENTITY_CASES)
+def test_measure_kernel_byte_identical_across_engines(name, policy):
     n = 32 if name.startswith(("dgemm", "fft")) else 64
-    assert _measure_doc("fast", name, n) == _measure_doc("reference", name, n)
+    assert (_measure_doc("fast", name, n, policy)
+            == _measure_doc("reference", name, n, policy))
 
 
 def test_warm_protocol_byte_identical_across_engines():
@@ -196,6 +249,13 @@ def test_warm_protocol_byte_identical_across_engines():
 # ----------------------------------------------------------------------
 # compile tier: plan caching behaviour
 # ----------------------------------------------------------------------
+#: the compile tier exists only on the compiled datapath: without the C
+#: kernel the fast engine runs the per-line port path and builds no plans
+needs_kernel = pytest.mark.skipif(not ckernel.available(),
+                                  reason="no compile tier without the C kernel")
+
+
+@needs_kernel
 def test_fast_engine_hits_the_plan_cache_across_reps():
     machine = tiny_test_machine()
     measure_kernel(machine, make_kernel("daxpy"), 256, reps=3)
@@ -222,8 +282,8 @@ def test_reference_engine_never_compiles_plans():
 def test_plan_cache_flushes_at_the_line_cap():
     cache = PlanCache(max_lines=10)
     loop_a, loop_b = object(), object()
-    plan_a = AccessPlan(segments=[], total_lines=6)
-    plan_b = AccessPlan(segments=[], total_lines=6)
+    plan_a = AccessPlan(total_lines=6)
+    plan_b = AccessPlan(total_lines=6)
     cache.put(("a",), loop_a, (), plan_a)
     assert len(cache) == 1
     # 6 + 6 > 10: the second put flushes everything, then stores b
@@ -234,6 +294,7 @@ def test_plan_cache_flushes_at_the_line_cap():
     assert cache.get(("b",)) is plan_b
 
 
+@needs_kernel
 def test_plan_key_distinguishes_buffer_placement():
     # same kernel measured at two sizes -> one shared symbolic
     # structure, but different trip counts and buffer bases -> new

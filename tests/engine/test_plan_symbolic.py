@@ -21,6 +21,7 @@ import itertools
 
 import pytest
 
+from repro.engine import ckernel
 from repro.engine.plan import (
     SYMBOLIC_REGISTRY,
     AccessPlan,
@@ -39,6 +40,12 @@ from repro.oracle import (
 #: monotone source of never-before-seen structural keys, so unit tests
 #: stay independent of interning done earlier in the process
 _FRESH = itertools.count()
+
+
+#: the compile tier exists only on the compiled datapath: without the C
+#: kernel the fast engine runs the per-line port path and builds no plans
+needs_kernel = pytest.mark.skipif(not ckernel.available(),
+                                  reason="no compile tier without the C kernel")
 
 
 def _fresh_skey(sites=()):
@@ -103,8 +110,8 @@ def test_bind_scales_with_trip_count():
         _fresh_skey((("load", 64, "x", ("i",)),))
     )
     descs = [("load", 0, 0, 8, 8, 0)]
-    small = sym.bind(descs, 8, 6, 12, 0)
-    big = sym.bind(descs, 64, 6, 12, 0)
+    small = sym.bind(descs, 8, 6, 0)
+    big = sym.bind(descs, 64, 6, 0)
     assert small.total_lines >= 1
     assert big.total_lines == 8 * small.total_lines
     assert small is not big
@@ -114,19 +121,19 @@ def test_bind_respects_base_binding():
     sym, _ = SYMBOLIC_REGISTRY.intern(
         _fresh_skey((("load", 64, "x", ("i",)),))
     )
-    at_zero = sym.bind([("load", 0, 0, 8, 8, 0)], 16, 6, 12, 0)
-    offset = sym.bind([("load", 0, 1 << 20, 8, 8, 0)], 16, 6, 12, 0)
+    at_zero = sym.bind([("load", 0, 0, 8, 8, 0)], 16, 6, 0)
+    offset = sym.bind([("load", 0, 1 << 20, 8, 8, 0)], 16, 6, 0)
     assert at_zero.total_lines == offset.total_lines
     # same shape, different addresses: the bound plans must not alias
-    zero_lines = {seg.lines[0] for seg in at_zero.segments if seg.lines}
-    off_lines = {seg.lines[0] for seg in offset.segments if seg.lines}
-    if zero_lines and off_lines:
-        assert zero_lines.isdisjoint(off_lines)
+    zero_lines = set(at_zero.packed.lines.tolist())
+    off_lines = set(offset.packed.lines.tolist())
+    assert zero_lines and off_lines
+    assert zero_lines.isdisjoint(off_lines)
 
 
 def test_bound_tier_memoises_and_counts_built_lines():
     cache = PlanCache()
-    plan = AccessPlan(segments=[], total_lines=4)
+    plan = AccessPlan(total_lines=4)
     bkey = (0, 8, (0,), ((0, 8, 0),))
     assert cache.get_bound(bkey) is None
     cache.put_bound(bkey, plan)
@@ -137,8 +144,8 @@ def test_bound_tier_memoises_and_counts_built_lines():
 
 def test_bound_tier_flushes_at_the_line_cap():
     cache = PlanCache(max_lines=10)
-    cache.put_bound(("a",), AccessPlan(segments=[], total_lines=6))
-    cache.put_bound(("b",), AccessPlan(segments=[], total_lines=6))
+    cache.put_bound(("a",), AccessPlan(total_lines=6))
+    cache.put_bound(("b",), AccessPlan(total_lines=6))
     assert cache.stats.flushes == 1
     assert cache.get_bound(("a",)) is None
     assert cache.get_bound(("b",)) is not None
@@ -207,6 +214,7 @@ def test_size_replay_matrix(name, sizes):
 # ----------------------------------------------------------------------
 # stale-plan hazards: mutated bindings must rebind, never replay
 # ----------------------------------------------------------------------
+@needs_kernel
 def test_reloading_moves_buffer_bases_and_rebinds():
     # every machine.load() maps fresh allocations, so running the same
     # program twice mutates every buffer base under a cached structure
@@ -235,14 +243,13 @@ def test_same_program_reloaded_matches_reference_counters():
     assert outcome.ok, "\n".join(str(d) for d in outcome.divergences)
 
 
+@needs_kernel
 def test_home_node_mutation_rebinds_without_silent_reuse():
     # remap the same program onto the other NUMA node between runs:
     # the plan's per-line homes change while structure, trips, and
     # strides all stay identical
-    factory = lambda: make_machine("snb-ep-x2", scale=0.0625)  # noqa: E731
-    fast = factory()
-    ref = factory()
-    ref.engine = "reference"
+    fast = make_machine("snb-ep-x2", scale=0.0625)
+    ref = make_machine("snb-ep-x2", scale=0.0625, engine="reference")
     caps = CodegenCaps.from_machine(fast)
     program = make_kernel("daxpy").build(64, caps)
     bound_counts = []
@@ -263,6 +270,7 @@ def test_home_node_mutation_rebinds_without_silent_reuse():
 # ----------------------------------------------------------------------
 # telemetry: the second size rebinds instead of recompiling
 # ----------------------------------------------------------------------
+@needs_kernel
 def test_dgemm_sweep_plan_cache_telemetry_regression():
     # the compile-tier amortization story the fast engine is built on:
     # every size of a dgemm sweep resolves through the same interned
@@ -283,6 +291,7 @@ def test_dgemm_sweep_plan_cache_telemetry_regression():
     assert pc["built_lines"] > 0
 
 
+@needs_kernel
 def test_second_size_rebinds_without_symbolic_misses():
     machine = tiny_test_machine()
     measure_kernel(machine, make_kernel("daxpy"), 64, reps=1)

@@ -1,5 +1,8 @@
 """Machine assembly: loading, running, parallel contention, clocks."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
@@ -138,3 +141,22 @@ class TestTheoretical:
 
     def test_repr(self, tiny):
         assert "tiny" in repr(tiny)
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_dropped_machine_frees_its_hierarchy_without_the_cycle_collector(
+        engine):
+    # the hierarchy caches its ports, so a port referring back to it
+    # would be a cycle keeping every cache array alive until a full
+    # collection; long-lived processes (the service) then grow
+    from repro.measure import measure_kernel
+
+    machine = tiny_test_machine(engine=engine)
+    measure_kernel(machine, Daxpy(), 256, reps=1)
+    hierarchy = weakref.ref(machine.hierarchy)
+    gc.disable()
+    try:
+        del machine
+        assert hierarchy() is None
+    finally:
+        gc.enable()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import ckernel
 from repro.kernels import Daxpy
 from repro.machine.presets import tiny_test_machine
 from repro.measure import ColdCache, measure_kernel
@@ -28,6 +29,8 @@ class TestBusterReuse:
     def test_buster_resets_prefetcher_training(self, tiny):
         port = tiny.hierarchy.port(0)
         port.access_lines(list(range(32)), is_write=False)
+        # a port opened first still leaves the buster on the C kernel
+        assert tiny.hierarchy.array_mode == ckernel.available()
         ColdCache(method="sweep").prepare(tiny, lambda: None)
         for engine in tiny.hierarchy.prefetchers_of(0):
             assert engine.stats.issued == 0

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import ckernel
 from repro.obs import REGISTRY, SPANS
 
 
@@ -40,6 +41,12 @@ def _engine_baseline(tmp_path):
     return str(path)
 
 
+#: the compile tier exists only on the compiled datapath: without the C
+#: kernel the fast engine runs the per-line port path and builds no plans
+needs_kernel = pytest.mark.skipif(not ckernel.available(),
+                                  reason="no compile tier without the C kernel")
+
+
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
@@ -55,6 +62,7 @@ class TestParser:
 
 
 class TestSelfprofile:
+    @needs_kernel
     def test_profiles_and_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "prof"
         rc = main(["selfprofile", "daxpy", "--n", "512",
@@ -78,6 +86,7 @@ class TestSelfprofile:
         prom_text = (out / proms[0]).read_text()
         assert "repro_plan_cache_lookups_total" in prom_text
 
+    @needs_kernel
     def test_json_mode(self, tmp_path, capsys):
         rc = main(["selfprofile", "daxpy", "--n", "256", "--json",
                    "--out-dir", str(tmp_path)])
@@ -159,6 +168,7 @@ class TestBenchgateCli:
 
 
 class TestSweepPlanCacheSatellite:
+    @needs_kernel
     def test_sweep_json_carries_plan_cache(self, tmp_path, capsys):
         rc = main(["sweep", "daxpy", "--sizes", "256", "--machine", "tiny",
                    "--reps", "1", "--json", "--no-cache"])
