@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine import AccessPlan, BatchDatapath, PlanCache, validate_engine
+from ..engine import AccessPlan, PlanCache, validate_engine
 from ..errors import ExecutionError
 from ..isa.instructions import (
     Flush,
@@ -145,14 +145,11 @@ class Core:
         self._next_site_id = core_id << 20  # site ids unique per core
         #: compile-tier state (used only by the fast engine)
         self.plan_cache = PlanCache()
-        #: the compiled datapath, on array-state hierarchies (the fast
-        #: engine with the C kernel loaded); None runs the per-line
-        #: port path, which is the reference engine's dispatch
-        self._datapath = (
-            BatchDatapath(port)
-            if self.engine == "fast" and port.array_mode
-            else None
-        )
+        #: the port's compiled datapath, on array-state hierarchies (the
+        #: fast engine with the C kernel loaded), for plans and
+        #: single-line accesses; None dispatches one port call per
+        #: emission, which is the reference engine's dispatch
+        self._datapath = port.datapath if self.engine == "fast" else None
 
     @property
     def plan_stats(self):

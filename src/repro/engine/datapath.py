@@ -2,24 +2,30 @@
 
 :class:`BatchDatapath` runs an :class:`~repro.engine.plan.AccessPlan`
 (or one straight-line access) through the compiled datapath kernel
-(:mod:`repro.engine.ckernel`), on the same functional state a
+(:mod:`repro.engine.ckernel`), on the functional state a
 :class:`~repro.memory.hierarchy.CorePort` owns: the numpy array state
 of L1/L2/L3 under any replacement policy, the TLB, the stock
 prefetch engines' tables and the prefetched-line set.  The kernel
 accumulates every counter in one block, applied here once per call.
 
-There is one dispatch.  A fast-engine machine whose kernel loaded
-builds that array state at construction and gives every core a
-datapath; without a kernel (no compiler, ``REPRO_CKERNEL=0``) or with
-a custom prefetcher factory there is no datapath, and the fast engine
-runs the reference per-line port path.
+There is one dispatch, and the kernel is the only code that changes
+array state.  A fast-engine machine whose kernel loaded builds that
+state at construction, and each port builds its datapath: the
+interpreter's plans and single-line demand accesses enter here
+directly, and every other port call (multi-line accesses, software
+prefetches, flushes, NT stores) runs as a one-run plan
+(:meth:`BatchDatapath.execute_run`).  Without a kernel (no compiler,
+``REPRO_CKERNEL=0``) or with a custom prefetcher factory there is no
+array state and no datapath, and the fast engine runs the reference
+per-line port path.
 
 Equivalence contract (gated by ``repro conformance --diff engine`` and
 ``tests/engine``): for any plan, the final cache/TLB/prefetcher state,
 every :class:`~repro.memory.hierarchy.BatchStats` counter, every
 per-level :class:`~repro.memory.cache.CacheStats` field, and every IMC
 CAS counter are identical to dispatching the plan's emissions one call
-at a time through the port's per-line reference path.
+at a time through a port on per-line state (the reference engine's
+dispatch).
 
 Trace emission is plan-granular: one ``cache`` event, one ``dram``
 event per touched home node, and one ``prefetch`` event per executed
@@ -31,6 +37,7 @@ only the granularity changes, never the sums.
 from __future__ import annotations
 
 import ctypes
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,41 +47,63 @@ from ..obs.spans import SPANS
 from ..prefetch.arraystate import ArrayStreamPrefetcher, ArrayStridePrefetcher
 from ..prefetch.nextline import NextLinePrefetcher
 from . import ckernel
+from .plan import AccessPlan, PackedPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..memory.hierarchy import CorePort
-    from .plan import AccessPlan
 
 
 class BatchDatapath:
-    """Executes access plans against one core's array port state."""
+    """Executes access plans against one core's array port state.
+
+    The port owns its datapath, so the datapath refers back to the port
+    weakly: a reference cycle would leave a dropped machine's arrays to
+    the cyclic collector.
+    """
 
     def __init__(self, port: "CorePort") -> None:
-        self.port = port
+        self._port = weakref.ref(port)
         self._ctx = None  # built on first use (see _build_ctx)
 
     def execute_plan(self, plan: "AccessPlan") -> BatchStats:
         with SPANS("engine.execute"):
+            port = self._port()
             # worst case inserts per demand line: degree prefetch
             # candidates per engine (2+2+1) plus the line itself
-            self._pre_call(6 * plan.total_lines + 8)
+            self._pre_call(port, 6 * plan.total_lines + 8)
             packed = plan.packed
             meta_p, lines_p, sids_p = packed.ptrs
             self._fn_plan(self._ctx_ref, packed.nruns, meta_p, lines_p,
                           sids_p, self._out_ptr)
-            self._post_call()
-            return self._apply_out(self._out.tolist())
+            self._post_call(port)
+            return self._apply_out(port, self._out.tolist())
 
-    def _build_ctx(self) -> "ckernel.Ctx":
+    def execute_run(self, op: int, lines, home: int,
+                    stream_id: int = 0) -> BatchStats:
+        """One port call — a single emission of ``lines`` with opcode
+        ``op`` (``OP_*`` of :mod:`repro.engine.plan`) homed on ``home``
+        — as a one-run plan."""
+        lines = np.array(lines, dtype=np.int64)
+        n = len(lines)
+        meta = np.array([[op, home, int(home != self._port().node), 0, n,
+                          stream_id]], dtype=np.int64)
+        # a uniform-stream run never reads per-line ids, so ``lines``
+        # stands in for them
+        return self.execute_plan(AccessPlan(
+            packed=PackedPlan(meta, lines, lines), total_lines=n,
+            run_count=1,
+        ))
+
+    def _build_ctx(self, port: "CorePort") -> "ckernel.Ctx":
         """Materialise the C context over the port's array state.
 
-        Every pointer references numpy storage that the Python port path
-        mutates strictly in place (cache ``clear``, TLB ``flush``,
-        prefetcher ``reset``), so the context stays valid across busts.
-        The one reallocating structure — the prefetched-line hash set —
-        is re-pointed before every kernel call (:meth:`_pre_call`).
+        Every pointer references numpy storage that Python resets
+        strictly in place (cache ``clear``, TLB ``flush``, prefetcher
+        ``reset``), so the context stays valid across busts.  The one
+        reallocating structure — the prefetched-line hash set, grown
+        only by ``ensure_room`` — is re-pointed before every kernel
+        call (:meth:`_pre_call`).
         """
-        port = self.port
         ctx = ckernel.Ctx()
         for i, cache in enumerate((port.l1, port.l2, port.l3)):
             ctx.tags[i] = cache._tags.ctypes.data
@@ -154,9 +183,9 @@ class BatchDatapath:
         self._ctx = ctx
         return ctx
 
-    def _sync_flags(self) -> None:
+    def _sync_flags(self, port: "CorePort") -> None:
         """Refresh the per-call enable flags from the simulated MSR."""
-        control = self.port.prefetch_control
+        control = port.prefetch_control
         mask = control.mask
         if mask == self._cmask:
             return
@@ -168,24 +197,22 @@ class BatchDatapath:
         # useful-hit attribution goes to every *enabled* engine, in the
         # per-core list order, exactly like the reference observe loop
         self._c_engines = [
-            engine for engine in self.port.engines
+            engine for engine in port.engines
             if control.is_enabled(engine.kind)
         ]
 
-    def _pre_call(self, room: int) -> "ckernel.Ctx":
+    def _pre_call(self, port: "CorePort", room: int) -> "ckernel.Ctx":
         """Shared setup before a kernel entry: context, flags, pf-set
         capacity, and register sync (cache ticks + TLB page cursor)."""
         ctx = self._ctx
         if ctx is None:
-            ctx = self._build_ctx()
-        self._sync_flags()
-        port = self.port
+            ctx = self._build_ctx(port)
+        self._sync_flags(port)
         pf = port._prefetched
         pf.ensure_room(room)
         slots = pf.slots
         if slots is not self._pf_ref:
-            # reallocated — by ensure_room here, or by a Python-side
-            # insert (multi-line singles route through access_lines)
+            # reallocated by ensure_room
             self._pf_ref = slots
             ctx.pf_slots = slots.ctypes.data
             ctx.pf_mask = pf._mask
@@ -196,8 +223,7 @@ class BatchDatapath:
         regs[3] = port._last_page
         return ctx
 
-    def _post_call(self) -> None:
-        port = self.port
+    def _post_call(self, port: "CorePort") -> None:
         regs = self._regs
         port.l1._tick = int(regs[0])
         port.l2._tick = int(regs[1])
@@ -206,12 +232,12 @@ class BatchDatapath:
 
     def execute_single(self, line: int, is_write: bool, node) -> BatchStats:
         """One single-line demand access through the compiled kernel."""
-        port = self.port
+        port = self._port()
         rhome = port.node if node is None else node
-        self._pre_call(8)
+        self._pre_call(port, 8)
         self._fn_single(self._ctx_ref, line, 1 if is_write else 0, rhome,
                         1 if rhome != port.node else 0, self._out_ptr)
-        self._post_call()
+        self._post_call(port)
         o = self._out.tolist()
         if o[1] == 1 and o[11] == 0:
             # pure L1 hit with no hardware prefetch fill: nothing was
@@ -246,13 +272,13 @@ class BatchDatapath:
             if port.bus.enabled:
                 port._emit_batch(stats, rhome)
             return stats
-        return self._apply_out(o)
+        return self._apply_out(port, o)
 
     #: earlier name of :meth:`execute_single`; perfbench/tracer.py
     #: wraps both names
     execute_single_c = execute_single
 
-    def _apply_out(self, o: list) -> BatchStats:
+    def _apply_out(self, port: "CorePort", o: list) -> BatchStats:
         """Apply one kernel invocation's counter block to Python state:
         derived demand-path CacheStats (every demand miss at a level is
         a fill there), occupancy deltas, TLB stats, per-engine
@@ -267,7 +293,6 @@ class BatchDatapath:
          occ1, occ2, occ3,
          nli, smi, sti, useful,
          tacc, t1h, t2h, twalk) = o
-        port = self.port
         stats = BatchStats(
             accesses=acc, l1_hits=l1h, l2_hits=l2h, l3_hits=l3h,
             dram_reads=drd, writebacks=wbk, nt_lines=ntl,

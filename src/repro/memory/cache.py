@@ -13,13 +13,18 @@ Three internal representations are used:
   :class:`~repro.memory.replacement.ReplacementPolicy` for the
   replacement-policy ablation.
 * ``array`` — numpy-backed tag/dirty arrays with the policy state
-  flattened into per-set stamp or tree-bit rows; the state the
-  compiled datapath (:mod:`repro.engine.ckernel`) executes on for
-  every policy, behaviourally identical to ``ways`` (hypothesis-verified
-  in ``tests/memory/test_cache_array.py``).
+  flattened into per-set stamp or tree-bit rows, for every policy.
 
-All representations expose identical behaviour, which the
-property-based tests verify against each other.
+``dict`` and ``ways`` are driven by Python: the reference engine and
+runs without the compiled kernel call :meth:`Cache.lookup_update`,
+:meth:`Cache.fill`, :meth:`Cache.invalidate` and
+:meth:`Cache.mark_dirty` one line at a time.  ``array`` is driven only
+by the compiled datapath (:mod:`repro.engine.ckernel`), which every
+:class:`~repro.memory.hierarchy.CorePort` call on array state reaches;
+on it those four methods raise, and Python only allocates, clears and
+inspects the arrays.  ``tests/engine/test_policy_datapath.py`` checks
+the kernel's transitions on ``array`` against ``ways``, state for
+state, under every policy.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, MemoryError_
 from ..obs.spans import SPANS
 from ..units import is_power_of_two, log2_int
 from .replacement import ReplacementPolicy, make_policy
@@ -161,7 +166,8 @@ class Cache:
     def _init_array_state(self) -> None:
         """Numpy-backed tag/dirty/policy state (the ``array`` backend).
 
-        Per-set policy metadata is flattened into array rows:
+        Per-set policy metadata is flattened into array rows, which the
+        C kernel reads and writes:
 
         * LRU/FIFO — a monotone global tick stamped into
           ``_stamp[set, way]`` on recency updates; the victim is the
@@ -209,9 +215,10 @@ class Cache:
             self.stats.misses += 1
         return hit
 
-    def _record_eviction(
+    def _record_fill(
         self, evicted: Optional[Tuple[int, bool]]
     ) -> Optional[Tuple[int, bool]]:
+        self.stats.fills += 1
         if evicted is not None:
             self.stats.evictions += 1
             if evicted[1]:
@@ -236,7 +243,7 @@ class Cache:
         elif self._backend == "ways":
             hit = self._generic_lookup(line, mark_dirty)
         else:
-            hit = self._array_lookup(line, mark_dirty)
+            self._kernel_only("lookup_update")
         return self._record_lookup(hit)
 
     def _generic_lookup(self, line: int, mark_dirty: bool) -> bool:
@@ -255,7 +262,6 @@ class Cache:
 
         Filling a line already present refreshes it (dirty flags OR).
         """
-        self.stats.fills += 1
         if self._fast:
             s = self._sets[line & self._set_mask]
             if line in s:
@@ -272,8 +278,8 @@ class Cache:
         elif self._backend == "ways":
             evicted = self._generic_fill(line, dirty)
         else:
-            evicted = self._array_fill(line, dirty)
-        return self._record_eviction(evicted)
+            self._kernel_only("fill")
+        return self._record_fill(evicted)
 
     def _generic_fill(self, line: int, dirty: bool) -> Optional[Tuple[int, bool]]:
         set_idx = line & self._set_mask
@@ -308,13 +314,9 @@ class Cache:
                 s[line] = True
                 return True
             return False
-        set_idx = line & self._set_mask
         if self._backend == "array":
-            ways = np.nonzero(self._tags[set_idx] == line)[0]
-            if ways.size:
-                self._adirty[set_idx, ways[0]] = True
-                return True
-            return False
+            self._kernel_only("mark_dirty")
+        set_idx = line & self._set_mask
         lines = self._lines[set_idx]
         for way in range(self._assoc):
             if lines[way] == line:
@@ -330,7 +332,7 @@ class Cache:
         elif self._backend == "ways":
             dirty = self._generic_invalidate(line)
         else:
-            dirty = self._array_invalidate(line)
+            self._kernel_only("invalidate")
         if dirty is not None:
             self._resident -= 1
         return self._record_invalidation(dirty)
@@ -346,95 +348,12 @@ class Cache:
                 return dirty
         return None
 
-    # ------------------------------------------------------------------
-    # array backend: same transitions as the ``ways`` backend, with the
-    # policy state flattened into numpy rows (see _init_array_state)
-    # ------------------------------------------------------------------
-    def _array_touch(self, set_idx: int, way: int, fill: bool) -> None:
-        kind = self._akind
-        if kind == "lru" or (kind == "fifo" and fill):
-            self._tick += 1
-            self._stamp[set_idx, way] = self._tick
-        elif kind == "plru":
-            # identical walk to TreePlruPolicy._touch, on the bit row
-            bits = self._plru[set_idx]
-            node = 0
-            span = self._assoc
-            offset = 0
-            while span > 1:
-                half = span // 2
-                go_right = way >= offset + half
-                bits[node] = 0 if go_right else 1
-                node = 2 * node + (2 if go_right else 1)
-                if go_right:
-                    offset += half
-                span = half
-
-    def _array_victim(self, set_idx: int) -> int:
-        kind = self._akind
-        if kind in ("lru", "fifo"):
-            # victim() is only reached with every way valid, so the
-            # smallest stamp is exactly the ways-backend recency tail
-            return int(np.argmin(self._stamp[set_idx]))
-        if kind == "plru":
-            bits = self._plru[set_idx]
-            node = 0
-            span = self._assoc
-            offset = 0
-            while span > 1:
-                half = span // 2
-                go_right = bits[node] == 1
-                node = 2 * node + (2 if go_right else 1)
-                if go_right:
-                    offset += half
-                span = half
-            return offset
-        return self._policy.victim(None, self._assoc)
-
-    def _array_lookup(self, line: int, mark_dirty: bool) -> bool:
-        set_idx = line & self._set_mask
-        ways = np.nonzero(self._tags[set_idx] == line)[0]
-        if not ways.size:
-            return False
-        way = int(ways[0])
-        self._array_touch(set_idx, way, fill=False)
-        if mark_dirty:
-            self._adirty[set_idx, way] = True
-        return True
-
-    def _array_fill(self, line: int, dirty: bool) -> Optional[Tuple[int, bool]]:
-        set_idx = line & self._set_mask
-        tags = self._tags[set_idx]
-        ways = np.nonzero(tags == line)[0]
-        if ways.size:
-            way = int(ways[0])
-            self._array_touch(set_idx, way, fill=True)
-            if dirty:
-                self._adirty[set_idx, way] = True
-            return None
-        empty = np.nonzero(tags == -1)[0]
-        if empty.size:
-            way = int(empty[0])
-            evicted = None
-            self._resident += 1
-        else:
-            way = self._array_victim(set_idx)
-            evicted = (int(tags[way]), bool(self._adirty[set_idx, way]))
-        tags[way] = line
-        self._adirty[set_idx, way] = dirty
-        self._array_touch(set_idx, way, fill=True)
-        return evicted
-
-    def _array_invalidate(self, line: int) -> Optional[bool]:
-        set_idx = line & self._set_mask
-        ways = np.nonzero(self._tags[set_idx] == line)[0]
-        if not ways.size:
-            return None
-        way = int(ways[0])
-        self._tags[set_idx, way] = -1
-        dirty = bool(self._adirty[set_idx, way])
-        self._adirty[set_idx, way] = False
-        return dirty
+    def _kernel_only(self, op: str) -> None:
+        raise MemoryError_(
+            f"{self.config.name}: {op} on the array backend; array state "
+            "changes only in the compiled datapath (CorePort routes every "
+            "access there)"
+        )
 
     # ------------------------------------------------------------------
     # inspection

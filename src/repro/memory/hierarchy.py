@@ -11,6 +11,14 @@ A port resolves demand accesses through its private caches and socket
 L3, routes DRAM traffic to the *home node of the data* (set by the NUMA
 allocator), triggers hardware prefetchers on L1 misses, and returns
 exact per-batch statistics for the cycle model.
+
+A hierarchy holds one of two state representations, chosen at
+construction.  Per-line state (``dict``/``ways`` caches, the dict TLB
+and prefetcher tables, a ``set`` of prefetched lines) is driven by the
+port methods below, one line at a time.  Array state (``array=True``)
+is changed only by the compiled datapath kernel: each port then owns a
+:class:`~repro.engine.datapath.BatchDatapath` and runs every access,
+prefetch and flush through it.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..engine import ckernel
+from ..engine.plan import (OP_DEMAND_READ, OP_DEMAND_WRITE, OP_FLUSH,
+                           OP_NTSTORE, OP_PREFETCH)
 from ..errors import ConfigurationError
 from ..obs.spans import SPANS
 from ..trace.bus import TraceBus
@@ -173,10 +184,16 @@ class MemoryHierarchy:
         #: True when the caches, TLBs and prefetchers hold the numpy
         #: array state the compiled datapath kernel executes on.  Asked
         #: for with ``array`` (the machine does so for the fast engine
-        #: when the kernel loaded); a custom prefetcher factory keeps
-        #: the per-line representations, since the kernel implements
-        #: only the stock engines.
+        #: when the kernel loaded; without the kernel it is an error);
+        #: a custom prefetcher factory keeps the per-line
+        #: representations, since the kernel implements only the stock
+        #: engines.
         self.array_mode = array and prefetch_factory is None
+        if self.array_mode and not ckernel.available():
+            raise ConfigurationError(
+                "array state needs the compiled datapath kernel, which did "
+                "not load (no C compiler, or REPRO_CKERNEL=0)"
+            )
         backend = "array" if self.array_mode else None
         ncores = topology.total_cores
         self.l1 = [Cache(config.l1, backend=backend) for _ in range(ncores)]
@@ -262,19 +279,25 @@ class CorePort:
         self.prefetch_control = hierarchy.prefetch_control
         #: this core's prefetch engines (the hierarchy's list object)
         self.engines = hierarchy.prefetchers_of(core_id)
-        self.array_mode = hierarchy.array_mode
-        if hierarchy.array_mode:
-            self.tlb = ArrayTlb(hierarchy.config.tlb)
-            self._prefetched = PrefetchedSet()
-        else:
-            self.tlb = Tlb(hierarchy.config.tlb)
-            self._prefetched = set()
         self._page_shift = (
             hierarchy.config.tlb.page_bytes.bit_length()
             - hierarchy.config.line_bytes.bit_length()
         )
         self._last_page = -1
         self.totals = BatchStats()
+        #: the compiled datapath over this port's array state, through
+        #: which every access, prefetch and flush of the port runs; None
+        #: on per-line state, which the methods below drive in Python
+        self.datapath = None
+        if hierarchy.array_mode:
+            from ..engine.datapath import BatchDatapath  # imports this module
+
+            self.tlb = ArrayTlb(hierarchy.config.tlb)
+            self._prefetched = PrefetchedSet()
+            self.datapath = BatchDatapath(self)
+        else:
+            self.tlb = Tlb(hierarchy.config.tlb)
+            self._prefetched = set()
 
     # ------------------------------------------------------------------
     # demand accesses
@@ -288,8 +311,12 @@ class CorePort:
         node); ``stream_id`` identifies the access site for the stride
         prefetcher.  Returns the batch's exact event counts.
         """
-        stats = BatchStats()
         home = self.node if node is None else node
+        if self.datapath is not None:
+            op = OP_NTSTORE if nt else (
+                OP_DEMAND_WRITE if is_write else OP_DEMAND_READ)
+            return self.datapath.execute_run(op, lines, home, stream_id)
+        stats = BatchStats()
         with SPANS("mem.demand"):
             if nt:
                 self._nt_store_lines(lines, home, stats)
@@ -542,8 +569,10 @@ class CorePort:
 
     def software_prefetch(self, lines, node: Optional[int] = None) -> BatchStats:
         """prefetcht0: bring lines into every level without an access."""
-        stats = BatchStats()
         home = self.node if node is None else node
+        if self.datapath is not None:
+            return self.datapath.execute_run(OP_PREFETCH, lines, home)
+        stats = BatchStats()
         dram = self.dram[home]
         with SPANS("mem.prefetch.sw"):
             for line in lines:
@@ -565,8 +594,10 @@ class CorePort:
 
     def flush_lines(self, lines, node: Optional[int] = None) -> BatchStats:
         """clflush: drop lines everywhere, writing dirty data back."""
-        stats = BatchStats()
         home = self.node if node is None else node
+        if self.datapath is not None:
+            return self.datapath.execute_run(OP_FLUSH, lines, home)
+        stats = BatchStats()
         dram = self.dram[home]
         with SPANS("mem.flush"):
             for line in lines:

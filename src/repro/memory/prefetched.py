@@ -2,8 +2,8 @@
 
 ``CorePort`` tracks the set of lines brought in by hardware/software
 prefetch that have not yet been touched by demand.  On array-backend
-machines the compiled datapath kernel needs to probe and mutate this
-set millions of times per batch, so the storage is a flat numpy slot
+machines the compiled datapath kernel probes and mutates this set
+millions of times per batch, so the storage is a flat numpy slot
 array shared with C rather than a Python ``set``.
 
 Layout (shared with ``engine/_ckernel.c``):
@@ -12,10 +12,11 @@ Layout (shared with ``engine/_ckernel.c``):
   anything else is a resident line number (always >= 0).
 * ``regs`` — ``[size, tombstones]``.
 
-The probe sequence is linear with a Fibonacci multiplicative hash; the
-C side implements the identical function, so both can interleave
-freely on the same table.  Growth happens only on the Python side
-(``ensure_room`` before each kernel call), so C never rehashes.
+The probe sequence is linear with a Fibonacci multiplicative hash
+(``pf_home`` in the kernel).  Only the kernel inserts and removes
+lines; Python allocates the table, grows it before each kernel call
+(:meth:`PrefetchedSet.ensure_room`, rehashing with the same hash, so C
+never rehashes), clears it in place and iterates it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 EMPTY = -1
-TOMB = -2
 _MULT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -45,53 +45,6 @@ class PrefetchedSet:
     def __len__(self) -> int:
         return int(self.regs[0])
 
-    def __contains__(self, line: int) -> bool:
-        slots, mask = self.slots, self._mask
-        i = _slot_of(line, mask)
-        while True:
-            v = slots[i]
-            if v == line:
-                return True
-            if v == EMPTY:
-                return False
-            i = (i + 1) & mask
-
-    def add(self, line: int) -> None:
-        slots, mask = self.slots, self._mask
-        i = _slot_of(line, mask)
-        first_tomb = -1
-        while True:
-            v = slots[i]
-            if v == line:
-                return
-            if v == EMPTY:
-                break
-            if v == TOMB and first_tomb < 0:
-                first_tomb = i
-            i = (i + 1) & mask
-        if first_tomb >= 0:
-            slots[first_tomb] = line
-            self.regs[1] -= 1
-        else:
-            slots[i] = line
-        self.regs[0] += 1
-        if (self.regs[0] + self.regs[1]) * 2 > len(slots):
-            self._grow()
-
-    def discard(self, line: int) -> None:
-        slots, mask = self.slots, self._mask
-        i = _slot_of(line, mask)
-        while True:
-            v = slots[i]
-            if v == line:
-                slots[i] = TOMB
-                self.regs[0] -= 1
-                self.regs[1] += 1
-                return
-            if v == EMPTY:
-                return
-            i = (i + 1) & mask
-
     def clear(self) -> None:
         # In place: the C kernel holds a pointer refreshed per call, but
         # clear between calls must not invalidate an already-built view.
@@ -103,19 +56,17 @@ class PrefetchedSet:
             if v >= 0:
                 yield int(v)
 
-    def ensure_room(self, extra: int) -> bool:
+    def ensure_room(self, extra: int) -> None:
         """Grow so that ``extra`` more inserts keep load factor <= 1/2.
 
-        Returns True when the slot array was reallocated (callers caching
-        the raw pointer must refresh it).
+        Growing reallocates ``slots``: callers caching its raw pointer
+        compare the array by identity after each call.
         """
         need = int(self.regs[0] + self.regs[1]) + extra
-        if need * 2 <= len(self.slots):
-            return False
-        self._grow(minimum=need * 2)
-        return True
+        if need * 2 > len(self.slots):
+            self._grow(minimum=need * 2)
 
-    def _grow(self, minimum: int = 0) -> None:
+    def _grow(self, minimum: int) -> None:
         target = max(len(self.slots) * 2, 1024)
         while target < minimum:
             target *= 2

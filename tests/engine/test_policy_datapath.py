@@ -1,15 +1,18 @@
 """The compiled datapath under every replacement policy, state for state.
 
-The C kernel executes plans and single accesses on the array cache
-state for LRU, FIFO, tree-PLRU and random victims alike, and the
-Python port path keeps working on that same state for the rare
-operations (multi-line singles, flushes, software prefetches).  The
-property below interleaves both kinds of call on one hierarchy and
-requires the result to match a second hierarchy driven only through
-the port path on the ``ways`` backend: per level the tags, dirty bits,
+The C kernel is the only code that changes array state, for LRU, FIFO,
+tree-PLRU and random victims alike.  It is reached three ways: plans,
+single-line demand accesses, and :class:`~repro.memory.hierarchy.CorePort`
+calls (multi-line accesses, flushes, software prefetches, NT stores),
+which the port runs as one-run plans.  The property below interleaves
+all three on one array hierarchy and requires the result to match a
+second hierarchy driven through the per-line port path on the ``ways``
+backend: per level the tags, dirty bits, resident and dirty line sets,
 recency order (LRU/FIFO stamps), PLRU tree bits, random-generator
-state and :class:`~repro.memory.cache.CacheStats`, plus the port's
-batch totals and the DRAM counters.
+state, :class:`~repro.memory.cache.CacheStats` and an occupancy counter
+that agrees with a recount, plus the port's batch totals, prefetched
+lines, TLB pages and statistics, per-engine prefetch statistics, and
+the DRAM counters.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.engine import AccessPlan, BatchDatapath, ckernel
+from repro.engine import AccessPlan, ckernel
 from repro.machine.presets import tiny_test_machine
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.dram import DramConfig
@@ -58,7 +61,7 @@ def _array_side(config: HierarchyConfig, mask: int):
     assert hier.array_mode
     hier.prefetch_control.write_msr(mask)
     port = hier.port(0)
-    return hier, port, BatchDatapath(port)
+    return hier, port, port.datapath
 
 
 def _ways_side(config: HierarchyConfig, mask: int):
@@ -113,7 +116,10 @@ def _cache_state(cache: Cache) -> tuple:
     else:
         tags = cache._tags.tolist()
         dirty = (cache._adirty & (cache._tags != -1)).tolist()
-    return (tags, dirty, _policy_state(cache), vars(cache.stats).copy(),
+    resident = sorted(cache.resident_lines())
+    assert cache.occupancy() == len(resident), cache
+    return (tags, dirty, resident, sorted(cache.dirty_lines()),
+            _policy_state(cache), vars(cache.stats).copy(),
             cache.occupancy())
 
 
@@ -163,6 +169,11 @@ def test_c_calls_interleaved_with_port_calls_match_ways_backend(
             want = _cache_state(getattr(ref_hier, name)[0])
             assert got == want, f"step {step} {op}: {name} diverged"
         assert fast_port.totals == ref_port.totals, f"step {step} {op}"
+        assert sorted(fast_port._prefetched) == sorted(ref_port._prefetched)
+        assert fast_port.tlb.page_sets() == ref_port.tlb.page_sets()
+        assert fast_port.tlb.stats == ref_port.tlb.stats
+        assert ([e.stats for e in fast_port.engines]
+                == [e.stats for e in ref_port.engines])
     counters = [(d.counters.cas_reads, d.counters.cas_writes)
                 for d in fast_hier.dram]
     assert counters == [(d.counters.cas_reads, d.counters.cas_writes)
@@ -174,16 +185,18 @@ def test_port_opened_before_core_still_runs_the_c_kernel():
     machine = tiny_test_machine()
     port = machine.hierarchy.port(0)
     port.access_lines(list(range(32)), is_write=False)
+    assert port.datapath._ctx is not None  # the port call ran in C
+    assert port.l1.occupancy() == len(list(port.l1.resident_lines())) > 0
     core = machine.core(0)
     # the representation was chosen when the machine was built, not by
-    # whichever of port() and core() came first
+    # whichever of port() and core() came first; the core shares the
+    # port's datapath
     assert core.port is port
     assert port.l1._backend == "array"
-    assert core._datapath is not None
+    assert core._datapath is port.datapath
     from repro.kernels import Daxpy
     from repro.measure import measure_kernel
     measure_kernel(machine, Daxpy(), 256, reps=1)
-    assert core._datapath._ctx is not None  # the kernel executed
 
 
 def test_machine_engine_is_fixed_at_construction():

@@ -148,15 +148,19 @@ def test_dropped_machine_frees_its_hierarchy_without_the_cycle_collector(
         engine):
     # the hierarchy caches its ports, so a port referring back to it
     # would be a cycle keeping every cache array alive until a full
-    # collection; long-lived processes (the service) then grow
+    # collection; long-lived processes (the service) then grow.  The
+    # same holds for a port and the datapath it owns.
     from repro.measure import measure_kernel
 
     machine = tiny_test_machine(engine=engine)
     measure_kernel(machine, Daxpy(), 256, reps=1)
+    machine.hierarchy.port(0).flush_lines([0])
     hierarchy = weakref.ref(machine.hierarchy)
+    port = weakref.ref(machine.hierarchy.port(0))
     gc.disable()
     try:
         del machine
         assert hierarchy() is None
+        assert port() is None
     finally:
         gc.enable()

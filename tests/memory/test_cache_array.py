@@ -1,20 +1,29 @@
-"""Array backend vs ways backend: behavioural equivalence, all policies.
+"""The array cache backend: construction, reset and inspection.
 
-The ``array`` backend flattens per-set replacement state into numpy
-rows (stamps for LRU/FIFO, tree bits for PLRU, the shared xorshift
-stream for random).  Hypothesis drives both backends through identical
-lookup/fill/invalidate/mark_dirty sequences and requires every return
-value, statistic, and piece of final state to match the ``ways``
-backend's :class:`~repro.memory.replacement.ReplacementPolicy` path.
+Array state changes only in the compiled datapath kernel, reached
+through a :class:`~repro.memory.hierarchy.CorePort`.  Here, under every
+policy: hypothesis drives an array L1 and a ``ways`` L1 through
+identical port calls and requires every answer, statistic and piece of
+final state to match, and the array occupancy counter to agree with a
+recount at every step.  Also: the Python-side transition methods refuse
+array state, :meth:`Cache.clear` resets kernel-filled state in place,
+and the dict and backend-selection rules.  The full interleaving of
+plans, single-line calls and port calls on every level is checked by
+``tests/engine/test_policy_datapath.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.memory.cache import Cache, CacheConfig
+from repro.engine import ckernel
+from repro.errors import ConfigurationError, MemoryError_
+from repro.memory.cache import Cache, CacheConfig, CacheStats
+from repro.memory.dram import DramConfig
+from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memory.numa import Topology
 from repro.memory.replacement import policy_names
+from repro.prefetch.control import ALL_DISABLED_MASK
 
 hypothesis = pytest.importorskip("hypothesis")
 
@@ -24,11 +33,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 def _config(policy: str) -> CacheConfig:
     # 4 sets x 4 ways: small enough that fuzzed streams conflict often
     return CacheConfig("test", 1024, line_bytes=64, assoc=4, policy=policy)
-
-
-def _pair(policy: str):
-    return (Cache(_config(policy), backend="ways"),
-            Cache(_config(policy), backend="array"))
 
 
 _OPS = st.lists(
@@ -57,6 +61,59 @@ def _apply(cache: Cache, op: str, line: int):
     return cache.contains(line)
 
 
+needs_kernel = pytest.mark.skipif(not ckernel.available(),
+                                  reason="C kernel unavailable")
+
+
+def _hierarchy_config(policy: str) -> HierarchyConfig:
+    return HierarchyConfig(
+        l1=_config(policy),
+        l2=CacheConfig("L2", 2048, assoc=4),
+        l3=CacheConfig("L3", 8192, assoc=8),
+        dram=DramConfig(),
+    )
+
+
+def _port(policy: str, backend: str):
+    """Port 0 of a hierarchy whose caches all use ``backend``.
+
+    Hardware prefetchers are off, so only the ops touch the caches.
+    """
+    config = _hierarchy_config(policy)
+    hier = MemoryHierarchy(config, Topology(1, 1),
+                           array=backend == "array")
+    if backend == "ways":
+        # swapped before the port captures the caches
+        hier.l1 = [Cache(config.l1, backend="ways")]
+        hier.l2 = [Cache(config.l2, backend="ways")]
+        hier.l3 = [Cache(config.l3, backend="ways")]
+    hier.prefetch_control.write_msr(ALL_DISABLED_MASK)
+    port = hier.port(0)
+    assert port.l1._backend == backend
+    return port
+
+
+_PORT_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["load", "store", "ntstore", "prefetch", "flush",
+                         "contains"]),
+        st.integers(min_value=0, max_value=23),
+    ),
+    max_size=120,
+)
+
+
+def _apply_port(port, op: str, line: int):
+    if op == "prefetch":
+        return vars(port.software_prefetch([line])).copy()
+    if op == "flush":
+        return vars(port.flush_lines([line])).copy()
+    if op == "contains":
+        return port.l1.contains(line)
+    return vars(port.access_lines([line], is_write=op != "load",
+                                  nt=op == "ntstore")).copy()
+
+
 def _state(cache: Cache):
     return (
         sorted(cache.resident_lines()),
@@ -66,28 +123,44 @@ def _state(cache: Cache):
     )
 
 
+@needs_kernel
 @pytest.mark.parametrize("policy", policy_names())
-@given(ops=_OPS)
+@given(ops=_PORT_OPS)
 @settings(max_examples=120, deadline=None)
 def test_array_backend_matches_ways_backend(policy, ops):
-    ways, array = _pair(policy)
+    ways, array = _port(policy, "ways"), _port(policy, "array")
     for step, (op, line) in enumerate(ops):
-        expected = _apply(ways, op, line)
-        got = _apply(array, op, line)
+        expected = _apply_port(ways, op, line)
+        got = _apply_port(array, op, line)
         assert got == expected, (
             f"step {step}: {op}({line}) -> {got!r}, ways gave {expected!r}"
         )
-    assert _state(array) == _state(ways)
+    assert _state(array.l1) == _state(ways.l1)
+    assert _state(array.l2) == _state(ways.l2)
+    assert _state(array.l3) == _state(ways.l3)
 
 
+@needs_kernel
 @pytest.mark.parametrize("policy", policy_names())
-@given(ops=_OPS)
+@given(ops=_PORT_OPS)
 @settings(max_examples=60, deadline=None)
 def test_occupancy_counter_matches_recount(policy, ops):
-    cache = Cache(_config(policy), backend="array")
+    port = _port(policy, "array")
     for op, line in ops:
-        _apply(cache, op, line)
-        assert cache.occupancy() == sum(1 for _ in cache.resident_lines())
+        _apply_port(port, op, line)
+        for cache in (port.l1, port.l2, port.l3):
+            assert cache.occupancy() == sum(1 for _ in cache.resident_lines())
+
+
+@pytest.mark.parametrize("op", ["lookup", "fill", "invalidate",
+                                "mark_dirty"])
+def test_python_transitions_refuse_array_state(op):
+    cache = Cache(_config("lru"), backend="array")
+    with pytest.raises(MemoryError_, match="compiled datapath"):
+        _apply(cache, op, 3)
+    # nothing was half-applied before the refusal
+    assert cache.stats == CacheStats()
+    assert list(cache.resident_lines()) == []
 
 
 @given(ops=_OPS)
@@ -100,18 +173,25 @@ def test_dict_backend_occupancy_counter_matches_recount(ops):
         assert cache.occupancy() == sum(1 for _ in cache.resident_lines())
 
 
+@needs_kernel
 @pytest.mark.parametrize("policy", policy_names())
 def test_clear_resets_array_state(policy):
-    cache = Cache(_config(policy), backend="array")
+    hier = MemoryHierarchy(_hierarchy_config(policy), Topology(1, 1),
+                           array=True)
+    port = hier.port(0)
+    cache = port.l1
+    assert cache._backend == "array"
     for line in range(12):
-        cache.fill(line, dirty=(line % 2 == 0))
+        port.access_lines([line], is_write=line % 2 == 0)
     assert cache.occupancy() > 0
+    assert list(cache.dirty_lines())
     cache.clear()
     assert cache.occupancy() == 0
     assert list(cache.resident_lines()) == []
     assert list(cache.dirty_lines()) == []
-    # and it is immediately usable again
-    cache.fill(5)
+    # and it is immediately usable again: the kernel's view of the
+    # arrays survived the in-place reset
+    port.access_lines([5], is_write=False)
     assert cache.contains(5)
     assert cache.occupancy() == 1
 

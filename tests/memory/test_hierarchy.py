@@ -37,6 +37,16 @@ class TestConfigValidation:
                 dram=DramConfig(),
             )
 
+    def test_array_state_without_kernel_rejected(self, monkeypatch):
+        from repro.engine import ckernel
+
+        monkeypatch.setattr(ckernel, "available", lambda: False)
+        config = make_hierarchy().config
+        with pytest.raises(ConfigurationError, match="kernel"):
+            MemoryHierarchy(config, Topology(1, 1), array=True)
+        # per-line state needs no kernel
+        assert not MemoryHierarchy(config, Topology(1, 1)).array_mode
+
     def test_shrinking_levels_rejected(self):
         with pytest.raises(ConfigurationError):
             HierarchyConfig(

@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MemoryError_
 from repro.prefetch import (
     NextLinePrefetcher,
     StreamPrefetcher,
     StridePrefetcher,
+)
+from repro.prefetch.arraystate import (
+    ArrayStreamPrefetcher,
+    ArrayStridePrefetcher,
 )
 
 
@@ -146,3 +150,15 @@ class TestStride:
         for site in range(20):
             engine.observe(site * 100, True, stream_id=site)
         assert len(engine._table) <= 4
+
+
+@pytest.mark.parametrize("cls", [ArrayStreamPrefetcher,
+                                 ArrayStridePrefetcher])
+def test_array_engines_train_only_in_the_kernel(cls):
+    # the dict-table parent's observe would train a table the kernel
+    # never reads, so the array variant refuses instead
+    engine = cls()
+    with pytest.raises(MemoryError_, match="compiled datapath"):
+        engine.observe(10, True, stream_id=1)
+    assert engine._table == {}
+    assert engine.stats.issued == 0
