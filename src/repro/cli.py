@@ -45,11 +45,11 @@ is absent), ``--no-cache`` forces re-simulation of every point, and
 ``--backend serial|pool|socket`` picks where points execute — the
 three are bit-identical (docs/SWEEP.md).
 
-Parallel sweeps collect distributed telemetry by default (see
-:mod:`repro.obs.remote`): ``sweep --flame-out`` exports the merged
-host+workers flame view, ``sweep --live`` renders an in-terminal
-dashboard, and ``--telemetry``/``--no-telemetry`` override the
-collection default.  When a point raises or a worker dies, the error
+Parallel sweeps, and any sweep asked for ``--flame-out``, collect
+distributed telemetry by default (see :mod:`repro.obs.remote`):
+``sweep --flame-out`` exports the merged host+workers flame view,
+``sweep --live`` renders an in-terminal dashboard, and
+``--telemetry``/``--no-telemetry`` override the collection default.  When a point raises or a worker dies, the error
 message names the flight-recorder dump under ``artifacts/flightrec/``.
 """
 
@@ -90,7 +90,6 @@ from .trace import (
     measurement_to_dict,
     timeline_from_events,
     to_chrome_trace,
-    to_prometheus,
 )
 from .trace.bus import ListSink, TraceBus
 from .units import format_bandwidth, format_bytes, format_flops, format_time
@@ -162,8 +161,11 @@ def _cmd_profile(args) -> int:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
     if args.metrics_out:
+        from .obs.metrics import MetricsRegistry
+        registry = MetricsRegistry()
+        registry.absorb_trace_summary(collector.summary())
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(to_prometheus(collector.summary()))
+            handle.write(registry.to_prometheus())
     if args.json:
         print(json.dumps(measurement_to_dict(m), indent=2))
     else:
@@ -316,8 +318,8 @@ def _sweep_machine_ref(machine: str, scale: float,
 
 
 def _cmd_sweep(args) -> int:
+    from .obs import REGISTRY, SPANS
     from .obs.dashboard import SweepDashboard
-    from .obs.spans import SPANS
     from .sweep.executor import resolve_jobs
 
     ref = _sweep_machine_ref(args.machine, args.scale, args.engine)
@@ -344,13 +346,21 @@ def _cmd_sweep(args) -> int:
         if not args.json and not args.live:
             print(f"[{done}/{total}] {status:7s} {point.label()}")
 
+    # the flame view is built from the collected span sections, so
+    # asking for it turns collection on unless --no-telemetry says not to
+    telemetry = args.telemetry
+    if telemetry is None and args.flame_out:
+        telemetry = True
+    # the metrics, dashboard and flame then describe this sweep alone
+    REGISTRY.reset()
+    SPANS.reset()
     dashboard = None
     if args.live:
         dashboard = SweepDashboard(total=len(plan),
                                    jobs=resolve_jobs(args.jobs))
     try:
         run = run_plan(plan, jobs=args.jobs, cache=cache, bus=bus,
-                       progress=progress, telemetry=args.telemetry,
+                       progress=progress, telemetry=telemetry,
                        on_point=dashboard.update if dashboard else None,
                        backend=args.backend)
     finally:
@@ -371,11 +381,7 @@ def _cmd_sweep(args) -> int:
         print(f"flame written to {args.flame_out}", file=sys.stderr)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(to_prometheus({
-                "sweep": run.stats.to_dict(),
-                "plan_cache": run.plan_cache,
-                "workers": run.telemetry.get("workers", []),
-            }))
+            handle.write(REGISTRY.to_prometheus())
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     if args.json:
         print(json.dumps({
@@ -1012,11 +1018,12 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--telemetry", dest="telemetry",
                            action="store_true", default=None,
                            help="force distributed-telemetry collection "
-                                "(default: on for parallel runs only)")
+                                "(default: on for parallel runs and with "
+                                "--flame-out)")
     telemetry.add_argument("--no-telemetry", dest="telemetry",
                            action="store_false",
                            help="disable distributed-telemetry collection "
-                                "even for parallel runs")
+                                "even for parallel runs and --flame-out")
     _add_sweep_flags(p_sweep, suppress=True)
 
     p_ert = sub.add_parser(

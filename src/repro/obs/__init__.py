@@ -13,10 +13,12 @@ Five pieces:
 * :mod:`repro.obs.spans` — a hierarchical span profiler
   (``with SPANS("engine.compile"):``) instrumented through the hot
   layers, near-zero cost when disabled, exporting Chrome-trace flame
-  views of host wall-time and a top-N hotspot table;
+  views of host wall-time and a top-N hotspot table; its
+  ``chrome_trace_doc`` builds every Chrome-trace document, machine
+  traces included;
 * :mod:`repro.obs.metrics` — a unified registry of counters, gauges
-  and histograms behind one Prometheus/JSON export path (shared
-  text-format helpers with :mod:`repro.trace.export`);
+  and histograms, the only Prometheus writer (it absorbs the sweep,
+  plan-cache and machine-trace summaries) plus a JSON export;
 * :mod:`repro.obs.remote` — the distributed telemetry plane: trace
   contexts dispatched with each sweep point, worker-side span/metrics/
   event capture, parent-side merge onto per-worker flame tracks, and

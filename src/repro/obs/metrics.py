@@ -2,12 +2,12 @@
 
 Telemetry used to be scattered — :class:`~repro.engine.plan.
 PlanCacheStats` lived on each core, sweep-cache hit counts on
-:class:`~repro.sweep.executor.SweepStats`, and each CLI glued its own
-export together.  The :class:`MetricsRegistry` absorbs them behind one
-Prometheus/JSON export path, shared (via the ``escape_*`` /
-``format_*`` helpers below) with :func:`repro.trace.export.
-to_prometheus`, so every exposition in the repository renders the same
-conformant text format.
+:class:`~repro.sweep.executor.SweepStats`, the machine-plane counters
+in a :class:`~repro.trace.collector.TraceCollector` summary, and each
+CLI glued its own export together.  The :class:`MetricsRegistry`
+absorbs them all (``absorb_plan_cache``, ``absorb_sweep_stats``,
+``absorb_trace_summary``) and is the only Prometheus writer in the
+repository, so every exposition renders the same conformant text.
 
 Format conformance (pinned by ``tests/obs/test_prometheus_format.py``):
 
@@ -19,7 +19,9 @@ Format conformance (pinned by ``tests/obs/test_prometheus_format.py``):
   order ending at ``+Inf``, plus ``_sum`` and ``_count``, and are valid
   (all zeros, no NaN) with zero observations;
 * non-finite values render as Prometheus' ``+Inf``/``-Inf``/``NaN``
-  spellings, never as Python's ``inf``/``nan``.
+  spellings, never as Python's ``inf``/``nan``;
+* finite values render losslessly: integral values as integers, every
+  other value in the shortest form that parses back to the same float.
 
 The registry is deliberately small and dependency-free — it is not a
 Prometheus client library, just enough structure that the sweep
@@ -51,7 +53,7 @@ DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
 
 
 # ----------------------------------------------------------------------
-# Prometheus text-format helpers (shared with repro.trace.export)
+# Prometheus text-format helpers
 # ----------------------------------------------------------------------
 def escape_label_value(value: object) -> str:
     """Escape a label value per the text exposition format."""
@@ -79,18 +81,23 @@ def format_labels(labels: Optional[Dict[str, object]]) -> str:
 
 
 def format_value(value: float) -> str:
-    """Render a sample value; non-finite floats use Prometheus
-    spellings (``+Inf`` / ``-Inf`` / ``NaN``)."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "+Inf" if value > 0 else "-Inf"
-    return f"{value:g}"
+    """Render a sample value without rounding.
 
-
-def _bucket_le(bound: float) -> str:
-    return "+Inf" if math.isinf(bound) else f"{bound:g}"
+    Integral values below 2**53 render as integers (``1234567``, not
+    ``1.23457e+06``), every other finite value as ``repr(float)``, the
+    shortest spelling that parses back to the same float; non-finite
+    values use the Prometheus spellings ``+Inf`` / ``-Inf`` / ``NaN``.
+    """
+    if isinstance(value, int):
+        return str(int(value))
+    value = float(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value.is_integer() and abs(value) < 2 ** 53:
+        return str(int(value))
+    return repr(value)
 
 
 # ----------------------------------------------------------------------
@@ -130,13 +137,16 @@ class _Metric:
             for key, value in sorted(self._samples.items())
         ]
 
+    def _exposition(self) -> List[Tuple[str, Dict[str, str], float]]:
+        """``(name suffix, labels, value)`` per exposition sample."""
+        return [("", labels, value) for labels, value in self.samples()]
+
     def to_prometheus(self) -> List[str]:
         lines = [f"# HELP {self.name} {escape_help(self.help)}",
                  f"# TYPE {self.name} {self.kind}"]
-        for labels, value in self.samples():
-            lines.append(
-                f"{self.name}{format_labels(labels)} {format_value(value)}"
-            )
+        for suffix, labels, value in self._exposition():
+            lines.append(f"{self.name}{suffix}{format_labels(labels)} "
+                         f"{format_value(value)}")
         return lines
 
     def to_json_doc(self) -> dict:
@@ -197,10 +207,9 @@ class Histogram(_Metric):
         bounds = sorted(float(b) for b in buckets)
         if not bounds:
             raise ValueError(f"{name}: need at least one bucket bound")
-        if bounds != [b for b in bounds if not math.isinf(b)]:
-            bounds = [b for b in bounds if not math.isinf(b)]
         #: upper bounds, ascending, with the implicit +Inf appended
-        self.bounds: Tuple[float, ...] = tuple(bounds) + (math.inf,)
+        self.bounds: Tuple[float, ...] = tuple(
+            b for b in bounds if not math.isinf(b)) + (math.inf,)
         #: label key -> [per-bucket non-cumulative counts, sum, count]
         self._series: Dict[Tuple[str, ...], list] = {}
 
@@ -256,59 +265,43 @@ class Histogram(_Metric):
         series = self._series.get(self._key(labels))
         return series[1] if series else 0.0
 
+    def _rows(self) -> List[tuple]:
+        """``(key, bucket counts, sum, count)`` per exposed series; an
+        unlabelled histogram with no observations exposes one all-zero
+        series."""
+        if not self._series and not self.labelnames:
+            return [((), [0] * len(self.bounds), 0.0, 0)]
+        return [(key, *self._series[key]) for key in sorted(self._series)]
+
     def samples(self) -> List[Tuple[Dict[str, str], float]]:
         # JSON view: one (labels, count) pair per series
-        keys = self._series or ({(): None} if not self.labelnames else {})
-        return [
-            (self._label_dict(key), float(self._series[key][2])
-             if key in self._series else 0.0)
-            for key in sorted(keys)
-        ]
+        return [(self._label_dict(key), float(n))
+                for key, _counts, _total, n in self._rows()]
 
-    def to_prometheus(self) -> List[str]:
-        lines = [f"# HELP {self.name} {escape_help(self.help)}",
-                 f"# TYPE {self.name} {self.kind}"]
-        keys = sorted(self._series) if self._series else (
-            [()] if not self.labelnames else []
-        )
-        for key in keys:
-            counts, total, n = self._series.get(
-                key, [[0] * len(self.bounds), 0.0, 0]
-            )
+    def _exposition(self) -> List[Tuple[str, Dict[str, str], float]]:
+        out = []
+        for key, counts, total, n in self._rows():
             labels = self._label_dict(key)
             cumulative = 0
             for bound, count in zip(self.bounds, counts):
                 cumulative += count
-                bucket_labels = dict(labels)
-                bucket_labels["le"] = _bucket_le(bound)
-                lines.append(
-                    f"{self.name}_bucket{format_labels(bucket_labels)} "
-                    f"{cumulative}"
-                )
-            lines.append(f"{self.name}_sum{format_labels(labels)} "
-                         f"{format_value(total)}")
-            lines.append(f"{self.name}_count{format_labels(labels)} {n}")
-        return lines
+                out.append(("_bucket",
+                            {**labels, "le": format_value(bound)},
+                            cumulative))
+            out += [("_sum", labels, total), ("_count", labels, n)]
+        return out
 
     def to_json_doc(self) -> dict:
-        keys = sorted(self._series) if self._series else (
-            [()] if not self.labelnames else []
-        )
-        series_docs = []
-        for key in keys:
-            counts, total, n = self._series.get(
-                key, [[0] * len(self.bounds), 0.0, 0]
-            )
-            series_docs.append({
-                "labels": self._label_dict(key),
-                "count": n,
-                "sum": total,
-                "mean": (total / n) if n else None,
-                "buckets": [
-                    {"le": _bucket_le(bound), "count": count}
-                    for bound, count in zip(self.bounds, counts)
-                ],
-            })
+        series_docs = [{
+            "labels": self._label_dict(key),
+            "count": n,
+            "sum": total,
+            "mean": (total / n) if n else None,
+            "buckets": [
+                {"le": format_value(bound), "count": count}
+                for bound, count in zip(self.bounds, counts)
+            ],
+        } for key, counts, total, n in self._rows()]
         return {"kind": self.kind, "help": self.help, "series": series_docs}
 
 
@@ -361,53 +354,106 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # absorbing the scattered telemetry
     # ------------------------------------------------------------------
-    def absorb_plan_cache(self, stats_doc: dict,
-                          prefix: str = "repro") -> None:
+    def _absorb(self, cls, name: str, help_text: str,
+                samples: Iterable[Tuple[Dict[str, object], float]]) -> None:
+        """Register ``name`` with its samples' label names and fold the
+        ``(labels, value)`` pairs in: counters add, gauges set.  A
+        family with no samples is not registered at all."""
+        samples = list(samples)
+        if not samples:
+            return
+        metric = self._register(cls, name, help_text, tuple(samples[0][0]))
+        add = metric.inc if cls is Counter else metric.set
+        for labels, value in samples:
+            add(value, **labels)
+
+    def absorb_plan_cache(self, stats_doc: dict) -> None:
         """Fold a :class:`PlanCacheStats` ``as_dict()`` into the
         registry (counters for the totals, a gauge for the hit rate)."""
-        lookups = self.counter(
-            f"{prefix}_plan_cache_lookups_total",
-            "Compile-tier plan-cache lookups by outcome",
-            labelnames=("outcome",),
-        )
-        lookups.inc(stats_doc.get("hits", 0), outcome="hit")
-        lookups.inc(stats_doc.get("misses", 0), outcome="miss")
-        built = self.counter(
-            f"{prefix}_plan_cache_built_total",
-            "Plan-cache compile work by unit (segments, lines)",
-            labelnames=("unit",),
-        )
-        built.inc(stats_doc.get("built_segments", 0), unit="segments")
-        built.inc(stats_doc.get("built_lines", 0), unit="lines")
-        self.counter(
-            f"{prefix}_plan_cache_flushes_total",
-            "Whole-cache flushes forced by the line-count bound",
-        ).inc(stats_doc.get("flushes", 0))
-        self.gauge(
-            f"{prefix}_plan_cache_hit_rate",
-            "Fraction of plan lookups served from the compile-tier cache",
-        ).set(stats_doc.get("hit_rate", 0.0))
+        self._absorb(Counter, "repro_plan_cache_lookups_total",
+                     "Compile-tier plan-cache lookups by outcome",
+                     [({"outcome": "hit"}, stats_doc.get("hits", 0)),
+                      ({"outcome": "miss"}, stats_doc.get("misses", 0))])
+        self._absorb(Counter, "repro_plan_cache_built_total",
+                     "Plan-cache compile work by unit (segments, lines)",
+                     [({"unit": "segments"},
+                       stats_doc.get("built_segments", 0)),
+                      ({"unit": "lines"}, stats_doc.get("built_lines", 0))])
+        self._absorb(Counter, "repro_plan_cache_flushes_total",
+                     "Whole-cache flushes forced by the line-count bound",
+                     [({}, stats_doc.get("flushes", 0))])
+        self._absorb(Gauge, "repro_plan_cache_hit_rate",
+                     "Fraction of plan lookups served from the compile-tier "
+                     "cache", [({}, stats_doc.get("hit_rate", 0.0))])
 
-    def absorb_sweep_stats(self, stats_doc: dict,
-                           prefix: str = "repro") -> None:
+    def absorb_sweep_stats(self, stats_doc: dict) -> None:
         """Fold a :class:`SweepStats` ``to_dict()`` into the registry."""
-        points = self.counter(
-            f"{prefix}_sweep_points_total",
-            "Sweep-plan points by outcome (hit=cache replay, "
-            "miss=simulated, corrupt=bad entry re-simulated)",
-            labelnames=("outcome",),
-        )
-        points.inc(stats_doc.get("hits", 0), outcome="hit")
-        points.inc(stats_doc.get("misses", 0), outcome="miss")
-        points.inc(stats_doc.get("corrupt", 0), outcome="corrupt")
-        self.gauge(
-            f"{prefix}_sweep_cache_hit_rate",
-            "Fraction of sweep points served from the result cache",
-        ).set(stats_doc.get("hit_rate", 0.0))
-        self.gauge(
-            f"{prefix}_sweep_elapsed_seconds",
-            "Wall time the sweep executor spent on the plan",
-        ).set(stats_doc.get("elapsed_seconds", 0.0))
+        self._absorb(Counter, "repro_sweep_points_total",
+                     "Sweep-plan points by outcome (hit=cache replay, "
+                     "miss=simulated, corrupt=bad entry re-simulated)",
+                     [({"outcome": outcome}, stats_doc.get(key, 0))
+                      for outcome, key in (("hit", "hits"),
+                                           ("miss", "misses"),
+                                           ("corrupt", "corrupt"))])
+        self._absorb(Gauge, "repro_sweep_cache_hit_rate",
+                     "Fraction of sweep points served from the result cache",
+                     [({}, stats_doc.get("hit_rate", 0.0))])
+        self._absorb(Gauge, "repro_sweep_elapsed_seconds",
+                     "Wall time the sweep executor spent on the plan",
+                     [({}, stats_doc.get("elapsed_seconds", 0.0))])
+
+    def absorb_trace_summary(self, summary: dict) -> None:
+        """Fold a :meth:`~repro.trace.collector.TraceCollector.summary`
+        (the machine-time plane) into the registry.
+
+        The phase, cycle, DRAM and reissue families always render (zero
+        for an empty trace); the labelled families render the series
+        the summary has, and ``avg_outstanding_misses`` only when the
+        trace measured it.
+        """
+        self._absorb(Gauge, "repro_phase_count",
+                     "Measured phases in the trace",
+                     [({}, summary.get("phase_count", 0))])
+        self._absorb(Counter, "repro_cycles_total",
+                     "Cycles across measured phases",
+                     [({}, summary.get("total_cycles", 0.0))])
+        self._absorb(Counter, "repro_bound_cycles_total",
+                     "Throughput-bound cycles attributed to each binding "
+                     "constraint",
+                     [({"bound": bound}, cycles) for bound, cycles
+                      in summary.get("bound_cycles", {}).items()])
+        self._absorb(Counter, "repro_cache_events_total",
+                     "Functional cache/TLB event counts",
+                     [({"event": event}, count)
+                      for event, count in summary.get("cache", {}).items()])
+        dram = summary.get("dram", {})
+        self._absorb(Counter, "repro_dram_lines_total",
+                     "IMC-visible 64B line transfers",
+                     [({"dir": "read"}, dram.get("read_lines", 0)),
+                      ({"dir": "write"}, dram.get("write_lines", 0))])
+        self._absorb(Counter, "repro_prefetch_total",
+                     "Per-engine prefetch counters",
+                     [({"engine": engine, "kind": kind}, stats.get(kind, 0))
+                      for engine, stats
+                      in summary.get("prefetch_engines", {}).items()
+                      for kind in ("issued", "useful")])
+        reissue = summary.get("reissue", {})
+        self._absorb(Counter, "repro_reissue_slots_total",
+                     "FP re-dispatch slots (the W-overcount mechanism)",
+                     [({}, reissue.get("slots", 0))])
+        self._absorb(Counter, "repro_reissue_overcounted_flops_total",
+                     "Counted flops attributable purely to FP reissue",
+                     [({}, reissue.get("overcounted_flops", 0))])
+        self._absorb(Gauge, "repro_bandwidth_utilization",
+                     "Cycle-weighted achieved/roof bandwidth per memory "
+                     "level",
+                     [({"level": level}, value) for level, value
+                      in (summary.get("bandwidth_utilization") or {}).items()
+                      if value is not None])
+        mlp = summary.get("avg_outstanding_misses")
+        self._absorb(Gauge, "repro_avg_outstanding_misses",
+                     "Average outstanding demand misses (MLP actually used)",
+                     [({}, mlp)] if mlp is not None else [])
 
     # ------------------------------------------------------------------
     # cross-process delta transport (distributed telemetry plane)

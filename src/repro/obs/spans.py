@@ -39,9 +39,28 @@ worker processes inherit a fresh, disabled profiler.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["SPANS", "SpanProfiler", "SpanRecord"]
+__all__ = ["SPANS", "SpanProfiler", "SpanRecord", "chrome_trace_doc"]
+
+
+def chrome_trace_doc(process_name: str, tracks: Iterable[Tuple[int, str]],
+                     events: List[dict]) -> dict:
+    """The Trace Event Format document every Chrome-trace export builds.
+
+    One process (pid 0) named ``process_name``; each ``(tid, name)``
+    track gets a ``thread_name`` record and a ``thread_sort_index``
+    equal to its tid, so viewers order tracks by tid.  The metadata
+    records come first, then ``events`` in the given order.
+    """
+    meta = [{"ph": "M", "name": "process_name", "pid": 0, "tid": 0,
+             "args": {"name": process_name}}]
+    for tid, name in sorted(tracks):
+        meta.append({"ph": "M", "name": "thread_name", "pid": 0,
+                     "tid": tid, "args": {"name": name}})
+        meta.append({"ph": "M", "name": "thread_sort_index", "pid": 0,
+                     "tid": tid, "args": {"sort_index": tid}})
+    return {"displayTimeUnit": "ms", "traceEvents": meta + events}
 
 
 class SpanRecord:
@@ -311,15 +330,7 @@ class SpanProfiler:
         from sweep workers land on one track per worker pid, with flow
         arrows from the parent's dispatch instant to each worker root.
         """
-        events: List[dict] = [
-            {"ph": "M", "name": "process_name", "pid": 0, "tid": 0,
-             "args": {"name": process_name}},
-            {"ph": "M", "name": "thread_name", "pid": 0, "tid": 0,
-             "args": {"name": "host wall-time"}},
-        ]
-        for track, name in sorted(self._tracks.items()):
-            events.append({"ph": "M", "name": "thread_name", "pid": 0,
-                           "tid": track, "args": {"name": name}})
+        events: List[dict] = []
         t0 = min((r.start_ns for r in self.records), default=0)
         for record in self.records:
             event = {
@@ -357,7 +368,8 @@ class SpanProfiler:
                 "ts": (self.records[-1].start_ns + self.records[-1].dur_ns
                        - t0) / 1e3 if self.records else 0.0,
             })
-        return {"displayTimeUnit": "ms", "traceEvents": events}
+        tracks = {0: "host wall-time", **self._tracks}
+        return chrome_trace_doc(process_name, tracks.items(), events)
 
     def to_json_doc(self) -> dict:
         """Machine-readable summary (hotspots + retention counters)."""

@@ -209,13 +209,19 @@ class Timeline:
     # rendering / export
     # ------------------------------------------------------------------
     def to_csv(self) -> str:
-        """Per-window CSV: bounds, raw counters, derived series."""
+        """Per-window CSV: bounds, raw counters, derived series.
+
+        The cycle columns are written losslessly (``repr`` of the float):
+        absolute TSC bounds run to millions of cycles, where six
+        significant digits would lose whole windows' worth of precision.
+        """
         header = (["window", "start_cycle", "end_cycle", "busy_cycles"]
                   + list(COUNTER_KEYS) + list(DERIVED_KEYS))
         rows = [",".join(header)]
         for w in self.windows:
-            cells: List[str] = [str(w.index), f"{w.start:g}", f"{w.end:g}",
-                                f"{w.busy_cycles:g}"]
+            cells: List[str] = [str(w.index), repr(float(w.start)),
+                                repr(float(w.end)),
+                                repr(float(w.busy_cycles))]
             cells += [str(w.counters.get(key, 0)) for key in COUNTER_KEYS]
             for key in DERIVED_KEYS:
                 value = w.derived.get(key)

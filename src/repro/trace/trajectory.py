@@ -102,12 +102,14 @@ class RooflineTrajectory:
         )
 
     def to_csv(self) -> str:
-        """Per-point CSV (window index, cycle bounds, I, P, raw sums)."""
+        """Per-point CSV (window index, cycle bounds, I, P, raw sums);
+        the cycle bounds are written losslessly, like
+        :meth:`Timeline.to_csv`'s."""
         rows = ["window,start_cycle,end_cycle,intensity_flops_per_byte,"
                 "performance_flops_per_s,flops,dram_bytes"]
         for p in self.points:
             rows.append(
-                f"{p.index},{p.t_start:g},{p.t_end:g},"
+                f"{p.index},{float(p.t_start)!r},{float(p.t_end)!r},"
                 f"{p.intensity:.6g},{p.performance:.6g},"
                 f"{p.flops},{p.dram_bytes}"
             )

@@ -1,14 +1,17 @@
-"""Prometheus text-exposition conformance (satellite of PR 6).
+"""Prometheus text-exposition conformance.
 
-One checker, applied to every exposition the repository produces —
-the metrics registry's and ``repro.trace.export.to_prometheus``'s —
-so the two paths cannot drift apart in formatting.
+:class:`~repro.obs.metrics.MetricsRegistry` is the only Prometheus
+writer; one checker covers every family it renders, including the
+machine-plane families absorbed from a trace summary.  Sample values
+must parse back to exactly the value the registry holds.
 """
 
 import math
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -17,7 +20,6 @@ from repro.obs.metrics import (
     format_labels,
     format_value,
 )
-from repro.trace.export import to_prometheus
 
 _SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+$"
@@ -117,7 +119,65 @@ class TestRegistryExposition:
         assert MetricsRegistry().to_prometheus() == ""
 
 
+def trace_exposition(summary: dict) -> str:
+    """Exposition of a fresh registry holding one trace summary."""
+    reg = MetricsRegistry()
+    reg.absorb_trace_summary(summary)
+    return reg.to_prometheus()
+
+
+def parse_samples(text: str) -> dict:
+    """``name{labels}`` -> float for every sample line."""
+    return {line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if line and not line.startswith("#")}
+
+
+class TestLosslessValues:
+    def test_large_counter_renders_as_integer(self):
+        assert format_value(1_234_567.0) == "1234567"
+        assert format_value(1_234_567) == "1234567"
+
+    def test_fractions_keep_every_digit(self):
+        assert format_value(7466111.338) == "7466111.338"
+        assert format_value(1 / 3) == repr(1 / 3)
+
+    def test_bool_renders_as_number(self):
+        assert format_value(True) == "1"
+
+    @given(st.integers(min_value=-(2 ** 53), max_value=2 ** 53))
+    def test_integers_parse_back_exactly(self, n):
+        reg = MetricsRegistry()
+        reg.gauge("repro_g", "g").set(n)
+        reg.counter("repro_c_total", "c").inc(abs(n))
+        samples = parse_samples(reg.to_prometheus())
+        assert samples["repro_g"] == n
+        assert samples["repro_c_total"] == abs(n)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_floats_parse_back_exactly(self, value):
+        reg = MetricsRegistry()
+        reg.gauge("repro_g", "g", labelnames=("k",)).set(value, k="v")
+        text = reg.to_prometheus()
+        check_exposition(text)
+        assert parse_samples(text)['repro_g{k="v"}'] == value
+
+    @given(st.floats(allow_nan=False, allow_infinity=False,
+                     min_value=0.0, max_value=1e6))
+    def test_histogram_sum_and_bounds_parse_back_exactly(self, value):
+        reg = MetricsRegistry()
+        h = reg.histogram("repro_h", "h", buckets=(value / 3 or 1.0,))
+        h.observe(value)
+        samples = parse_samples(reg.to_prometheus())
+        assert samples["repro_h_sum"] == value
+        le = format_value(value / 3 or 1.0)
+        assert f'repro_h_bucket{{le="{le}"}}' in samples
+        assert float(le) == (value / 3 or 1.0)
+
+
 class TestTraceExportExposition:
+    """The trace summary's families, absorbed into a registry."""
+
     def _summary(self):
         return {
             "phase_count": 2,
@@ -128,56 +188,51 @@ class TestTraceExportExposition:
             "prefetch_engines": {"stride": {"issued": 5, "useful": 4}},
             "reissue": {"slots": 1, "overcounted_flops": 8},
             "bandwidth_utilization": {"dram": 0.5, "l3": None},
-            "sweep": {"hits": 1, "misses": 2, "corrupt": 0,
-                      "hit_rate": 1 / 3, "elapsed_seconds": 0.2},
-            "plan_cache": {"hits": 6, "misses": 2, "hit_rate": 0.75,
-                           "built_segments": 2, "built_lines": 40,
-                           "flushes": 0},
         }
 
     def test_summary_exposition_conforms(self):
-        text = to_prometheus(self._summary())
-        check_exposition(text)
+        check_exposition(trace_exposition(self._summary()))
 
     def test_label_values_escaped(self):
-        text = to_prometheus(self._summary())
+        text = trace_exposition(self._summary())
         assert 'bound="odd\\"bound"' in text
 
+    def test_unmeasured_utilization_is_omitted(self):
+        text = trace_exposition(self._summary())
+        assert 'repro_bandwidth_utilization{level="dram"} 0.5' in text
+        assert 'level="l3"' not in text
+
     def test_plan_cache_section_present(self):
-        text = to_prometheus(self._summary())
+        # plan-cache and sweep families share the registry with the
+        # trace families
+        reg = MetricsRegistry()
+        reg.absorb_trace_summary(self._summary())
+        reg.absorb_sweep_stats({"hits": 1, "misses": 2, "corrupt": 0,
+                                "hit_rate": 1 / 3, "elapsed_seconds": 0.2})
+        reg.absorb_plan_cache({"hits": 6, "misses": 2, "hit_rate": 0.75,
+                               "built_segments": 2, "built_lines": 40,
+                               "flushes": 0})
+        text = reg.to_prometheus()
+        check_exposition(text)
         assert 'repro_plan_cache_lookups_total{outcome="hit"} 6' in text
         assert "repro_plan_cache_hit_rate 0.75" in text
+        assert f"repro_sweep_cache_hit_rate {1 / 3!r}" in text
+        assert "repro_phase_count 2" in text
 
     def test_empty_summary_is_valid_zero_exposition(self):
         # an empty trace summary still renders the always-present
         # families with zero values — valid text, no bare newline
-        text = to_prometheus({})
+        text = trace_exposition({})
         check_exposition(text)
         assert text != "\n"
         assert "repro_phase_count 0" in text
+        assert 'repro_dram_lines_total{dir="read"} 0' in text
+        # labelled families with no series are not registered at all
+        assert "repro_prefetch_total" not in text
+        assert "repro_avg_outstanding_misses" not in text
 
     def test_nonfinite_value_spelling(self):
-        text = to_prometheus({"total_cycles": float("nan"),
-                              "phase_count": 1})
+        text = trace_exposition({"total_cycles": float("nan"),
+                                 "phase_count": 1})
         assert "repro_cycles_total NaN" in text
         check_exposition(text)
-
-
-class TestSharedHelpers:
-    def test_both_paths_render_identical_label_syntax(self):
-        # the regression this satellite fixes: trace.export used to
-        # interpolate labels unescaped
-        reg = MetricsRegistry()
-        reg.counter("repro_a_total", "a", labelnames=("k",)).inc(1, k='x"y')
-        registry_line = [
-            line for line in reg.to_prometheus().splitlines()
-            if line.startswith("repro_a_total{")
-        ][0]
-        export_text = to_prometheus(
-            {"bound_cycles": {'x"y': 1.0}, "phase_count": 0})
-        export_line = [
-            line for line in export_text.splitlines()
-            if line.startswith("repro_bound_cycles_total{")
-        ][0]
-        assert 'k="x\\"y"' in registry_line
-        assert 'bound="x\\"y"' in export_line

@@ -5,9 +5,8 @@ Pins the :meth:`MetricsRegistry.to_delta_doc` /
 telemetry plane ships worker metrics over: counters sum, gauges are
 last-write-wins, histograms bucket-merge (and refuse lossy merges
 across mismatched bucket bounds).  Also round-trips awkward label
-values through both expositions that can carry worker-labelled series
-— the registry's and ``repro.trace.export.to_prometheus``'s workers
-section — via the shared escaping helpers.
+values through the registry's exposition of worker-labelled series and
+pins the worker families a telemetry merge leaves in the registry.
 """
 
 import math
@@ -15,7 +14,8 @@ import math
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, escape_label_value
-from repro.trace.export import to_prometheus
+from repro.obs.remote import merge_run_telemetry
+from repro.obs.spans import SpanProfiler
 
 from tests.obs.test_prometheus_format import check_exposition
 
@@ -134,7 +134,7 @@ class TestDeltaDocValidation:
 
 
 class TestWorkerLabelEscaping:
-    """Weird label values survive both worker-labelled expositions."""
+    """Weird label values survive the worker-labelled exposition."""
 
     WEIRD = 'worker "7"\\host\nnode'
 
@@ -159,22 +159,43 @@ class TestWorkerLabelEscaping:
         check_exposition(text)
         assert f'worker="{escape_label_value(self.WEIRD)}"' in text
 
+    @staticmethod
+    def _merge(elapsed_seconds: float) -> str:
+        """Exposition after merging two worker sections into a fresh
+        registry, the way the sweep executor merges a parallel run."""
+        sections = []
+        for pid, points, busy_seconds in ((4242, 3, 1.25), (4243, 2, 0.5)):
+            worker = MetricsRegistry()
+            worker.counter("repro_sweep_worker_points_total", "points",
+                           labelnames=("worker",)).inc(points, worker=pid)
+            worker.counter("repro_sweep_worker_busy_seconds_total", "busy",
+                           labelnames=("worker",)).inc(busy_seconds,
+                                                       worker=pid)
+            sections.append({"worker": {"pid": pid},
+                             "busy_ns": int(busy_seconds * 1e9),
+                             "metrics": worker.to_delta_doc()})
+        reg = MetricsRegistry()
+        merge_run_telemetry("run", sections, ["miss", "miss"],
+                            ["daxpy:1", "daxpy:2"], [None, None],
+                            elapsed_seconds=elapsed_seconds,
+                            profiler=SpanProfiler(), registry=reg)
+        return reg.to_prometheus()
+
     def test_trace_export_workers_section_is_conformant(self):
-        summary = {
-            "workers": [
-                {"pid": 4242, "points": 3, "busy_seconds": 1.25,
-                 "utilization": 0.625},
-                {"pid": 4243, "points": 2, "busy_seconds": 0.5,
-                 "utilization": None},
-            ],
-        }
-        text = to_prometheus(summary)
+        # the worker families a telemetry merge leaves in the registry
+        text = self._merge(elapsed_seconds=2.0)
         check_exposition(text)
         assert 'repro_sweep_worker_points_total{worker="4242"} 3' in text
         assert ('repro_sweep_worker_busy_seconds_total{worker="4242"} '
                 "1.25" in text)
         assert 'repro_sweep_worker_utilization{worker="4242"} 0.625' in text
-        # a worker without a utilization estimate is simply omitted
-        # from that family, not rendered as nan
-        assert 'repro_sweep_worker_utilization{worker="4243"}' not in text
+        assert 'repro_sweep_worker_utilization{worker="4243"} 0.25' in text
+        assert 'repro_sweep_worker_points_total{worker="4243"} 2' in text
+
+    def test_no_wall_time_means_no_utilization_family(self):
+        # without a run wall time there is no utilization estimate: the
+        # family is simply absent, not rendered as nan
+        text = self._merge(elapsed_seconds=0.0)
+        check_exposition(text)
+        assert "repro_sweep_worker_utilization" not in text
         assert 'repro_sweep_worker_points_total{worker="4243"} 2' in text

@@ -97,6 +97,54 @@ class TestSweepCommand:
         assert 'repro_sweep_points_total{outcome="miss"}' in text
         assert "repro_sweep_cache_hit_rate" in text
 
+    def test_metrics_out_has_no_machine_plane_families(self, tmp_path,
+                                                       capsys):
+        # a sweep keeps no machine trace, so the trace-summary families
+        # must not appear as zeros next to the points it simulated
+        metrics = tmp_path / "sweep.prom"
+        assert main(["--no-cache", "sweep", "daxpy", "--sizes", "256,512",
+                     "--machine", "tiny", "--jobs", "1",
+                     "--metrics-out", str(metrics)]) == 0
+        text = metrics.read_text()
+        assert "repro_cycles_total" not in text
+        assert "repro_phase_count" not in text
+        assert "repro_dram_lines_total" not in text
+        assert 'repro_sweep_points_total{outcome="miss"} 2' in text
+        for family in ("repro_sweep_cache_hit_rate",
+                       "repro_sweep_elapsed_seconds",
+                       "repro_plan_cache_lookups_total",
+                       "repro_plan_cache_built_total",
+                       "repro_plan_cache_flushes_total",
+                       "repro_plan_cache_hit_rate"):
+            assert f"# TYPE {family} " in text, family
+        for line in text.splitlines():
+            if line and not line.startswith("#"):
+                float(line.rsplit(" ", 1)[1])
+
+    def test_metrics_out_describes_this_sweep_only(self, tmp_path, capsys):
+        metrics = tmp_path / "sweep.prom"
+        argv = ["--no-cache", "sweep", "daxpy", "--sizes", "256",
+                "--machine", "tiny", "--jobs", "1",
+                "--metrics-out", str(metrics)]
+        assert main(argv) == 0 and main(argv) == 0
+        assert ('repro_sweep_points_total{outcome="miss"} 1'
+                in metrics.read_text())
+
+    def test_serial_flame_out_records_point_spans(self, tmp_path, capsys):
+        flame = tmp_path / "flame.json"
+        argv = ["--no-cache", "sweep", "daxpy", "--sizes", "256,512",
+                "--machine", "tiny", "--jobs", "1",
+                "--flame-out", str(flame)]
+        assert main(argv) == 0
+        events = json.loads(flame.read_text())["traceEvents"]
+        points = [e for e in events
+                  if e.get("ph") == "X" and e["name"] == "sweep.point"]
+        assert len(points) == 2
+        # --no-telemetry still wins over the flame request
+        assert main(argv + ["--no-telemetry"]) == 0
+        events = json.loads(flame.read_text())["traceEvents"]
+        assert not any(e["name"] == "sweep.point" for e in events)
+
 
 class TestExperimentIntegration:
     def test_experiment_reports_cache_stats(self, tmp_path, capsys):

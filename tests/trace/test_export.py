@@ -11,8 +11,9 @@ from repro.trace import (
     TraceEvent,
     to_chrome_trace,
     to_jsonl,
-    to_prometheus,
 )
+
+from tests.obs.test_prometheus_format import trace_exposition
 
 EVENTS = [
     TraceEvent(PHASE, "loop:j", 0.0, core=0, dur=100.0,
@@ -93,31 +94,26 @@ class TestJsonl:
 
 
 class TestPrometheus:
-    def make_summary(self):
+    def make_exposition(self):
         col = TraceCollector()
         # feed only the counter/phase events; the trailing mark would
         # otherwise scope the summary to an empty measured region
         for event in EVENTS:
             if event.kind != MARK:
                 col.emit(event)
-        return col.summary()
+        return trace_exposition(col.summary())
 
     def test_exposition_format(self):
-        text = to_prometheus(self.make_summary())
+        text = self.make_exposition()
         assert "# HELP repro_phase_count" in text
         assert "# TYPE repro_phase_count gauge" in text
         assert "repro_phase_count 1" in text
 
     def test_bound_cycles_labelled(self):
-        text = to_prometheus(self.make_summary())
+        text = self.make_exposition()
         assert 'repro_bound_cycles_total{bound="dram_bandwidth"} 90' in text
 
     def test_dram_lines_labelled_by_direction(self):
-        text = to_prometheus(self.make_summary())
+        text = self.make_exposition()
         assert 'repro_dram_lines_total{dir="read"}' in text
         assert 'repro_dram_lines_total{dir="write"}' in text
-
-    def test_custom_prefix(self):
-        text = to_prometheus(self.make_summary(), prefix="sim")
-        assert "sim_phase_count 1" in text
-        assert "repro_" not in text

@@ -208,6 +208,31 @@ class TestSerialization:
         assert "intensity" in lines[0]
         assert len(lines) == 1 + len(tl)
 
+    def test_csv_cycle_bounds_are_lossless(self):
+        # absolute TSC bounds in the millions: six significant digits
+        # would round 7466111.338 to 7.46611e+06
+        t0 = 7466111.338125
+        sampler = sample([phase(t0, 25000.25, instructions=10, flops=10,
+                                batch={"dram_reads": 3})], 10000)
+        sampler.frequency_hz = 1e9
+        tl = sampler.timeline()
+        rows = [line.split(",") for line in
+                tl.to_csv().strip().splitlines()[1:]]
+        assert len(rows) == len(tl) == 3
+        for row, window in zip(rows, tl.windows):
+            assert float(row[1]) == window.start
+            assert float(row[2]) == window.end
+            assert float(row[3]) == window.busy_cycles
+        assert float(rows[0][1]) == t0
+        traj = RooflineTrajectory.from_timeline(tl)
+        traj_rows = [line.split(",") for line in
+                     traj.to_csv().strip().splitlines()[1:]]
+        assert traj_rows
+        for row, point in zip(traj_rows, traj.points):
+            window = tl.windows[point.index]
+            assert float(row[1]) == window.start
+            assert float(row[2]) == window.end
+
     def test_json_doc_roundtrips(self):
         tl = sample(self.EVENTS, 25).timeline()
         doc = json.loads(json.dumps(tl.to_json_doc()))
